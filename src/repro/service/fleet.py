@@ -12,13 +12,17 @@ Request path, in order:
    their circuit's ``rdfp1:`` fingerprint
    (:mod:`repro.service.hashring`), so every circuit has a home shard
    whose in-memory implication engine and store pages stay hot.  The
-   fingerprint comes from a front-end LRU keyed by the request's
-   ``circuit`` name or ``bench`` digest; a miss parses the netlist once
+   fingerprint comes from a front-end LRU keyed by request identity
+   (:func:`~repro.service.server.request_key`: the ``circuit`` name, or
+   the ``bench`` digest and ``name``); a miss parses the netlist once
    in a side thread (malformed input therefore fails fast at the
-   front-end, before touching a worker).
-2. **Single-flight coalescing** — concurrent identical ``(fingerprint,
-   criterion, sort, max_accepted, deadline)`` classifies share one
-   worker computation.  The first request is the *leader* (it streams
+   front-end, before touching a worker).  Workers key their session
+   pools by the same identity; their stores stay keyed by fingerprint.
+2. **Single-flight coalescing** — concurrent identical ``(request
+   identity, criterion, sort, max_accepted, deadline)`` classifies
+   share one worker computation.  The identity, not the fingerprint,
+   keys them, so isomorphic circuits under different names never share
+   an answer.  The first request is the *leader* (it streams
    the worker's ``start`` event and computes); every other joins as a
    *follower* and receives the leader's final answer with
    ``"coalesced": true``.  A failing leader fails its followers with
@@ -67,6 +71,7 @@ from repro.service.server import (
     JsonLineServer,
     _build_circuit,
     _Counters,
+    request_key,
     run_until_signalled,
 )
 from repro.service.supervisor import WorkerSupervisor, unix_rpc
@@ -299,7 +304,8 @@ class FleetServer(JsonLineServer):
         deadline = message.get("deadline")
         if deadline is not None and not isinstance(deadline, (int, float)):
             raise ProtocolError("'deadline' must be a number of seconds")
-        fingerprint = await self._fingerprint_for(message)
+        circuit_key = request_key(message)
+        fingerprint = await self._fingerprint_for(circuit_key, message)
         # the op is part of the key: a classify and a tightness request
         # on the same circuit compute different answers
         op = message.get("op", "classify")
@@ -309,7 +315,7 @@ class FleetServer(JsonLineServer):
             delays_text = message.get("delays")
             key = (
                 op,
-                fingerprint,
+                circuit_key,
                 message.get("k"),
                 message.get("slack"),
                 bool(message.get("exact", False)),
@@ -322,7 +328,7 @@ class FleetServer(JsonLineServer):
         else:
             key = (
                 op,
-                fingerprint,
+                circuit_key,
                 message.get("criterion", "sigma"),
                 message.get("sort", "heu2"),
                 message.get("max_accepted"),
@@ -359,23 +365,19 @@ class FleetServer(JsonLineServer):
         finally:
             del self._inflight[key]
 
-    async def _fingerprint_for(self, message: dict) -> str:
-        bench = message.get("bench")
-        if bench is not None and isinstance(bench, str):
-            cache_key = (
-                "bench", hashlib.sha256(bench.encode("utf-8")).hexdigest()
-            )
-        else:
-            cache_key = ("circuit", message.get("circuit"))
-        cached = self._fingerprints.get(cache_key)
+    async def _fingerprint_for(self, circuit_key: tuple, message: dict) -> str:
+        registry = get_registry()
+        cached = self._fingerprints.get(circuit_key)
         if cached is not None:
-            self._fingerprints.move_to_end(cache_key)
+            registry.counter("fleet.fingerprint_hits").inc()
+            self._fingerprints.move_to_end(circuit_key)
             return cached
+        registry.counter("fleet.fingerprint_misses").inc()
         loop = asyncio.get_event_loop()
         fingerprint = await loop.run_in_executor(
             self._fp_executor, self._compute_fingerprint, message
         )
-        self._fingerprints[cache_key] = fingerprint
+        self._fingerprints[circuit_key] = fingerprint
         while len(self._fingerprints) > 4096:
             self._fingerprints.popitem(last=False)
         return fingerprint

@@ -3,10 +3,13 @@
 A stdlib-only asyncio server speaking the JSON-lines protocol of
 :mod:`repro.service.protocol` over TCP or a unix socket.  Requests are
 classified in a thread pool through a *session pool* shared across
-connections — sessions are keyed by circuit fingerprint, so repeated
-requests for the same (or an isomorphic) circuit reuse the in-memory
-implication engine and, when the server was started with a result
-store, every result read through and written back to disk.
+connections.  Sessions are keyed by request identity
+(:func:`request_key`: the suite name, or the ``.bench`` text digest and
+``name``), so a repeated request takes an idle session without
+rebuilding or re-fingerprinting its circuit, and answers with the name
+it asked for.  The result store stays keyed by fingerprint: isomorphic
+circuits under different keys share every stored result, read through
+and written back to disk when the server was started with a store.
 
 Execution discipline:
 
@@ -29,6 +32,7 @@ Execution discipline:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -43,53 +47,117 @@ from repro.classify.session import CircuitSession
 from repro.errors import CircuitError, ProtocolError, ReproError, TaskTimeout
 from repro.experiments.supervisor import default_task_budget
 from repro.gen.suite import get_circuit
-from repro.obs import get_registry
+from repro.obs import get_registry, span
 from repro.service import protocol
 from repro.sorting.heuristics import pin_order_sort
 from repro.store.db import ResultStore, as_store
 from repro.store.fingerprint import canonical_form
 from repro.util.serialize import classification_payload
 
-__all__ = ["AnalysisServer", "JsonLineServer", "run_until_signalled", "serve"]
+__all__ = [
+    "AnalysisServer",
+    "JsonLineServer",
+    "request_key",
+    "run_until_signalled",
+    "serve",
+]
 
 _CRITERIA = {"fs": Criterion.FS, "nr": Criterion.NR, "sigma": Criterion.SIGMA_PI}
 
 
+def request_key(message: dict) -> tuple:
+    """The identity of the circuit a request names.
+
+    ``("circuit", name)`` for a suite generator, ``("bench",
+    sha256(text), name)`` for netlist text.  Two requests with one key
+    build the identical circuit, name included, so a key can stand in
+    for the circuit without building it.  Raises :class:`ProtocolError`
+    unless exactly one of ``bench``/``circuit`` is given with the right
+    type; an unknown suite name surfaces only when the circuit is built.
+    """
+    bench = message.get("bench")
+    name = message.get("circuit")
+    if (bench is None) == (name is None):
+        raise ProtocolError(
+            "classify needs exactly one of 'bench' (netlist text) or "
+            "'circuit' (suite generator name)"
+        )
+    if bench is not None:
+        if not isinstance(bench, str):
+            raise ProtocolError("'bench' must be .bench source text")
+        return (
+            "bench",
+            hashlib.sha256(bench.encode("utf-8")).hexdigest(),
+            str(message.get("name", "remote")),
+        )
+    if not isinstance(name, str):
+        raise ProtocolError("'circuit' must be a suite generator name")
+    return ("circuit", name)
+
+
+def _build_circuit(message: dict) -> Circuit:
+    key = request_key(message)
+    if key[0] == "bench":
+        return parse_bench(message["bench"], name=key[2])
+    try:
+        return get_circuit(key[1])
+    except KeyError as exc:
+        # suite lookup errors become CircuitError so remote callers can
+        # dispatch on the same type as for a malformed netlist
+        raise CircuitError(str(exc.args[0])) from exc
+
+
 class SessionPool:
-    """Idle :class:`CircuitSession` objects keyed by circuit fingerprint.
+    """Idle :class:`CircuitSession` objects keyed by :func:`request_key`.
+
+    A hit hands back an idle session without building or fingerprinting
+    anything; only a miss builds the circuit and its canonical form (the
+    ``service.prepare`` span).  Each session's fingerprint is computed
+    from exactly the circuit its key names, and the store behind every
+    session is keyed by that fingerprint, so isomorphic circuits under
+    different keys still share stored results.
 
     Sessions are not thread-safe (they share one implication engine), so
     a checked-out session belongs to exactly one request until it is
     checked back in.  The pool is bounded: beyond ``max_idle`` idle
-    sessions the oldest fingerprint's surplus is dropped (its state is
-    only a cache — with a store behind it nothing is lost).
+    sessions the oldest key's surplus is dropped (its state is only a
+    cache — with a store behind it nothing is lost).
     """
 
     def __init__(self, store: "ResultStore | None", max_idle: int = 16):
         self._store = store
         self._max_idle = max_idle
-        self._idle: "dict[str, list[CircuitSession]]" = {}
+        self._idle: "dict[tuple, list[CircuitSession]]" = {}
         self._lock = Lock()
 
-    def checkout(self, circuit: Circuit) -> CircuitSession:
-        canon = canonical_form(circuit)
+    def checkout(self, message: dict) -> "tuple[tuple, CircuitSession]":
+        """``(key, session)`` for a request; hand both to :meth:`checkin`."""
+        key = request_key(message)
+        registry = get_registry()
         with self._lock:
-            idle = self._idle.get(canon.fingerprint)
+            idle = self._idle.get(key)
             if idle:
                 session = idle.pop()
                 if not idle:
-                    del self._idle[canon.fingerprint]
-                return session
-        return CircuitSession(circuit, store=self._store, _canon=canon)
+                    del self._idle[key]
+                registry.counter("service.pool_hits").inc()
+                return key, session
+        registry.counter("service.pool_misses").inc()
+        with span("service.prepare", kind=key[0]):
+            circuit = _build_circuit(message)
+            session = CircuitSession(
+                circuit, store=self._store, _canon=canonical_form(circuit)
+            )
+        return key, session
 
-    def checkin(self, session: CircuitSession) -> None:
+    def checkin(self, key: tuple, session: CircuitSession) -> None:
         with self._lock:
             if sum(len(v) for v in self._idle.values()) >= self._max_idle:
-                # drop the least-recently-stocked fingerprint's sessions
+                # drop the least-recently-stocked key's sessions
                 oldest = next(iter(self._idle), None)
                 if oldest is not None:
                     del self._idle[oldest]
-            self._idle.setdefault(session.fingerprint, []).append(session)
+            self._idle.setdefault(key, []).append(session)
 
     def idle_count(self) -> int:
         with self._lock:
@@ -122,28 +190,6 @@ class _Connection:
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self.busy = False
-
-
-def _build_circuit(message: dict) -> Circuit:
-    bench = message.get("bench")
-    name = message.get("circuit")
-    if (bench is None) == (name is None):
-        raise ProtocolError(
-            "classify needs exactly one of 'bench' (netlist text) or "
-            "'circuit' (suite generator name)"
-        )
-    if bench is not None:
-        if not isinstance(bench, str):
-            raise ProtocolError("'bench' must be .bench source text")
-        return parse_bench(bench, name=str(message.get("name", "remote")))
-    if not isinstance(name, str):
-        raise ProtocolError("'circuit' must be a suite generator name")
-    try:
-        return get_circuit(name)
-    except KeyError as exc:
-        # suite lookup errors become CircuitError so remote callers can
-        # dispatch on the same type as for a malformed netlist
-        raise CircuitError(str(exc.args[0])) from exc
 
 
 def _resolve_sort(session: CircuitSession, kind: str):
@@ -452,50 +498,10 @@ class AnalysisServer(JsonLineServer):
                 f"sort {sort_kind!r} is not available at cone granularity; "
                 "valid: pin, heu1, heu2"
             )
-        deadline = message.get("deadline", self.default_deadline)
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
-
-        loop = asyncio.get_event_loop()
-        async with self._admission:
-            # cheap linear prep (parse + counts) sized the budget;
-            # the classification itself runs under wait_for below
-            circuit, session, total = await loop.run_in_executor(
-                self._executor, self._prepare, message
-            )
-            if deadline is None:
-                deadline = default_task_budget(total)
-            await self._send(
-                writer,
-                protocol.event(
-                    message.get("id"), "start",
-                    server_request_id=req_id,
-                    name=circuit.name,
-                    fingerprint=session.fingerprint,
-                    total_logical=total,
-                    deadline=round(float(deadline), 3),
-                ),
-            )
-            started = time.monotonic()
-            work = loop.run_in_executor(
-                self._executor,
-                self._classify, session, criterion, sort_kind, max_accepted,
-                cones,
-            )
-            try:
-                result = await asyncio.wait_for(work, timeout=float(deadline))
-            except asyncio.TimeoutError:
-                # the worker thread cannot be interrupted; it finishes in
-                # the background and only then returns its session to the
-                # pool (see _classify), so no session is ever shared
-                raise TaskTimeout(circuit.name, float(deadline)) from None
-            # the deadline is a hard contract: a worker that blows the
-            # budget but completes before the event loop fires the
-            # wait_for timer (the GIL can starve the loop for a whole
-            # switch interval on sub-ms circuits) still answers TaskTimeout
-            if time.monotonic() - started > float(deadline):
-                raise TaskTimeout(circuit.name, float(deadline))
-            return result
+        return await self._run_session_op(
+            message, writer, req_id,
+            self._classify, criterion, sort_kind, max_accepted, cones,
+        )
 
     async def _op_tightness(
         self, message: dict, writer: asyncio.StreamWriter, req_id: str
@@ -516,40 +522,10 @@ class AnalysisServer(JsonLineServer):
         max_accepted = message.get("max_accepted", self.max_accepted)
         if max_accepted is not None and not isinstance(max_accepted, int):
             raise ProtocolError("'max_accepted' must be an integer")
-        deadline = message.get("deadline", self.default_deadline)
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
-
-        loop = asyncio.get_event_loop()
-        async with self._admission:
-            circuit, session, total = await loop.run_in_executor(
-                self._executor, self._prepare, message
-            )
-            if deadline is None:
-                deadline = default_task_budget(total)
-            await self._send(
-                writer,
-                protocol.event(
-                    message.get("id"), "start",
-                    server_request_id=req_id,
-                    name=circuit.name,
-                    fingerprint=session.fingerprint,
-                    total_logical=total,
-                    deadline=round(float(deadline), 3),
-                ),
-            )
-            started = time.monotonic()
-            work = loop.run_in_executor(
-                self._executor,
-                self._tightness, session, criterion, sort_kind, max_accepted,
-            )
-            try:
-                result = await asyncio.wait_for(work, timeout=float(deadline))
-            except asyncio.TimeoutError:
-                raise TaskTimeout(circuit.name, float(deadline)) from None
-            if time.monotonic() - started > float(deadline):
-                raise TaskTimeout(circuit.name, float(deadline))
-            return result
+        return await self._run_session_op(
+            message, writer, req_id,
+            self._tightness, criterion, sort_kind, max_accepted,
+        )
 
     async def _op_signoff(
         self, message: dict, writer: asyncio.StreamWriter, req_id: str
@@ -572,15 +548,33 @@ class AnalysisServer(JsonLineServer):
         seed = message.get("seed", 0)
         if not isinstance(seed, int):
             raise ProtocolError("'seed' must be an integer")
+        return await self._run_session_op(
+            message, writer, req_id,
+            self._signoff, k, slack, exact, delays_text, seed,
+        )
+
+    async def _run_session_op(
+        self,
+        message: dict,
+        writer: asyncio.StreamWriter,
+        req_id: str,
+        work: "Callable[..., dict]",
+        *args,
+    ) -> dict:
+        """Run ``work(session, *args)`` on a pooled session under the
+        request's deadline, after streaming the ``start`` event."""
         deadline = message.get("deadline", self.default_deadline)
         if deadline is not None and not isinstance(deadline, (int, float)):
             raise ProtocolError("'deadline' must be a number of seconds")
 
         loop = asyncio.get_event_loop()
         async with self._admission:
-            circuit, session, total = await loop.run_in_executor(
+            # cheap prep (pool lookup, or build + counts on a miss) sized
+            # the budget; the work itself runs under wait_for below
+            key, session, total = await loop.run_in_executor(
                 self._executor, self._prepare, message
             )
+            name = session.circuit.name
             if deadline is None:
                 deadline = default_task_budget(total)
             await self._send(
@@ -588,24 +582,51 @@ class AnalysisServer(JsonLineServer):
                 protocol.event(
                     message.get("id"), "start",
                     server_request_id=req_id,
-                    name=circuit.name,
+                    name=name,
                     fingerprint=session.fingerprint,
                     total_logical=total,
                     deadline=round(float(deadline), 3),
                 ),
             )
             started = time.monotonic()
-            work = loop.run_in_executor(
-                self._executor,
-                self._signoff, session, k, slack, exact, delays_text, seed,
+            job = loop.run_in_executor(
+                self._executor, self._leased, key, session, work, *args
             )
             try:
-                result = await asyncio.wait_for(work, timeout=float(deadline))
+                result = await asyncio.wait_for(job, timeout=float(deadline))
             except asyncio.TimeoutError:
-                raise TaskTimeout(circuit.name, float(deadline)) from None
+                # the worker thread cannot be interrupted; it finishes in
+                # the background and only then returns its session to the
+                # pool (see _leased), so no session is ever shared
+                raise TaskTimeout(name, float(deadline)) from None
+            # the deadline is a hard contract: a worker that blows the
+            # budget but completes before the event loop fires the
+            # wait_for timer (the GIL can starve the loop for a whole
+            # switch interval on sub-ms circuits) still answers TaskTimeout
             if time.monotonic() - started > float(deadline):
-                raise TaskTimeout(circuit.name, float(deadline))
+                raise TaskTimeout(name, float(deadline))
             return result
+
+    def _prepare(self, message: dict) -> "tuple[tuple, CircuitSession, int]":
+        key, session = self.sessions.checkout(message)
+        try:
+            total = session.counts.total_logical
+        except BaseException:
+            self.sessions.checkin(key, session)
+            raise
+        return key, session, total
+
+    def _leased(
+        self,
+        key: tuple,
+        session: CircuitSession,
+        work: "Callable[..., dict]",
+        *args,
+    ) -> dict:
+        try:
+            return work(session, *args)
+        finally:
+            self.sessions.checkin(key, session)
 
     def _signoff(
         self,
@@ -623,45 +644,40 @@ class AnalysisServer(JsonLineServer):
             parse_delay_lines,
         )
 
-        try:
-            if k is None and slack is None:
-                k = DEFAULT_K
-            circuit = session.circuit
-            if delays_text is None:
-                delays = materialize_delays(circuit, None, seed=seed)
-            else:
-                # the wire form must cover every non-PI gate: no silent
-                # fallback, so client and server can never disagree
-                delays = materialize_delays(
-                    circuit,
-                    parse_delay_lines(delays_text, source="request"),
-                    strict=True,
-                )
-            rows, counters, source = signoff_core(
+        if k is None and slack is None:
+            k = DEFAULT_K
+        circuit = session.circuit
+        if delays_text is None:
+            delays = materialize_delays(circuit, None, seed=seed)
+        else:
+            # the wire form must cover every non-PI gate: no silent
+            # fallback, so client and server can never disagree
+            delays = materialize_delays(
                 circuit,
-                delays,
-                k=k,
-                slack=slack,
-                exact=exact,
-                session=session,
+                parse_delay_lines(delays_text, source="request"),
+                strict=True,
             )
-            return {
-                "circuit": circuit.name,
-                "mode": "k" if k is not None else "slack",
-                "k": k,
-                "slack": slack,
-                "exact": exact,
-                "delays_digest": delays_digest(
-                    delays, canonical=session.canonical
-                ),
-                "rows": [row.table_row() for row in rows],
-                "counters": counters,
-                "source": source,
-                "fingerprint": session.fingerprint,
-                "session": session.stats.to_dict(),
-            }
-        finally:
-            self.sessions.checkin(session)
+        rows, counters, source = signoff_core(
+            circuit,
+            delays,
+            k=k,
+            slack=slack,
+            exact=exact,
+            session=session,
+        )
+        return {
+            "circuit": circuit.name,
+            "mode": "k" if k is not None else "slack",
+            "k": k,
+            "slack": slack,
+            "exact": exact,
+            "delays_digest": delays_digest(delays, canonical=session.canonical),
+            "rows": [row.table_row() for row in rows],
+            "counters": counters,
+            "source": source,
+            "fingerprint": session.fingerprint,
+            "session": session.stats.to_dict(),
+        }
 
     def _tightness(
         self,
@@ -672,30 +688,17 @@ class AnalysisServer(JsonLineServer):
     ) -> dict:
         from repro.verdict import tightness_row
 
-        try:
-            row = tightness_row(
-                session.circuit,
-                criterion,
-                sort_kind,
-                session=session,
-                max_accepted=max_accepted,
-            )
-            payload = row.to_dict()
-            payload["fingerprint"] = session.fingerprint
-            payload["session"] = session.stats.to_dict()
-            return payload
-        finally:
-            self.sessions.checkin(session)
-
-    def _prepare(self, message: dict) -> "tuple[Circuit, CircuitSession, int]":
-        circuit = _build_circuit(message)
-        session = self.sessions.checkout(circuit)
-        try:
-            total = session.counts.total_logical
-        except BaseException:
-            self.sessions.checkin(session)
-            raise
-        return circuit, session, total
+        row = tightness_row(
+            session.circuit,
+            criterion,
+            sort_kind,
+            session=session,
+            max_accepted=max_accepted,
+        )
+        payload = row.to_dict()
+        payload["fingerprint"] = session.fingerprint
+        payload["session"] = session.stats.to_dict()
+        return payload
 
     def _classify(
         self,
@@ -705,44 +708,41 @@ class AnalysisServer(JsonLineServer):
         max_accepted: "int | None",
         cones: bool = False,
     ) -> dict:
-        try:
-            if cones:
-                # cone granularity: reuse stored cone rows (ECO flow);
-                # the sort stays symbolic and is derived per cone
-                from repro.incremental import cone_classify
+        if cones:
+            # cone granularity: reuse stored cone rows (ECO flow);
+            # the sort stays symbolic and is derived per cone
+            from repro.incremental import cone_classify
 
-                report = cone_classify(
-                    session.circuit,
-                    criterion=criterion,
-                    sort=sort_kind if criterion is Criterion.SIGMA_PI else None,
-                    max_accepted=max_accepted,
-                    store=session.store,
-                    session_stats=session.stats,
-                )
-                payload = classification_payload(
-                    report.result,
-                    fingerprint=session.fingerprint,
-                    sort_kind=(
-                        sort_kind if criterion is Criterion.SIGMA_PI else None
-                    ),
-                    session_stats=session.stats.to_dict(),
-                )
-                payload["cone_stats"] = report.reuse_stats()
-                return payload
-            sort = None
-            if criterion is Criterion.SIGMA_PI:
-                sort = _resolve_sort(session, sort_kind)
-            result = session.classify(
-                criterion, sort=sort, max_accepted=max_accepted
+            report = cone_classify(
+                session.circuit,
+                criterion=criterion,
+                sort=sort_kind if criterion is Criterion.SIGMA_PI else None,
+                max_accepted=max_accepted,
+                store=session.store,
+                session_stats=session.stats,
             )
-            return classification_payload(
-                result,
+            payload = classification_payload(
+                report.result,
                 fingerprint=session.fingerprint,
-                sort_kind=sort_kind if sort is not None else None,
+                sort_kind=(
+                    sort_kind if criterion is Criterion.SIGMA_PI else None
+                ),
                 session_stats=session.stats.to_dict(),
             )
-        finally:
-            self.sessions.checkin(session)
+            payload["cone_stats"] = report.reuse_stats()
+            return payload
+        sort = None
+        if criterion is Criterion.SIGMA_PI:
+            sort = _resolve_sort(session, sort_kind)
+        result = session.classify(
+            criterion, sort=sort, max_accepted=max_accepted
+        )
+        return classification_payload(
+            result,
+            fingerprint=session.fingerprint,
+            sort_kind=sort_kind if sort is not None else None,
+            session_stats=session.stats.to_dict(),
+        )
 
 
 async def serve(

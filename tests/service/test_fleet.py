@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.circuit.bench import write_bench
 from repro.errors import RemoteError
 from repro.gen.suite import get_circuit
 from repro.obs import get_registry
@@ -148,6 +149,79 @@ class TestCoalescing:
         assert {r["criterion"] for r in results} == {"FS", "NR"}
         assert all(r["coalesced"] is False for r in results)
         assert registry.counter("fleet.coalesce_hits").value == hits_before
+
+
+    def _concurrent_benches(self, fleet, names):
+        """Classify one netlist text concurrently, once per name."""
+        text = write_bench(get_circuit("s499-ecc"))
+        barrier = threading.Barrier(len(names))
+        results: list = [None] * len(names)
+
+        def worker(i):
+            with connect(fleet) as client:
+                barrier.wait()
+                results[i] = client.request(
+                    "classify", bench=text, name=names[i], criterion="fs"
+                )
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(len(names))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert all(r is not None for r in results)
+        return results
+
+    def test_isomorphic_requests_under_other_names_do_not_coalesce(
+        self, fleet
+    ):
+        """One text, two names: one fingerprint and one shard, but two
+        answers, each with the name its own request sent."""
+        registry = get_registry()
+        hits_before = registry.counter("fleet.coalesce_hits").value
+        results = self._concurrent_benches(fleet, ["alpha", "beta"])
+        assert [r["name"] for r in results] == ["alpha", "beta"]
+        assert all(r["coalesced"] is False for r in results)
+        assert registry.counter("fleet.coalesce_hits").value == hits_before
+        assert results[0]["fingerprint"] == results[1]["fingerprint"]
+        assert results[0]["worker"] == results[1]["worker"]
+
+    def test_same_name_bench_requests_still_coalesce(self, fleet):
+        registry = get_registry()
+        hits_before = registry.counter("fleet.coalesce_hits").value
+        results = self._concurrent_benches(fleet, ["gamma", "gamma"])
+        assert sorted(r["coalesced"] for r in results) == [False, True]
+        assert [r["name"] for r in results] == ["gamma", "gamma"]
+        assert (
+            registry.counter("fleet.coalesce_hits").value - hits_before == 1
+        )
+
+
+class TestFingerprintCache:
+    def test_lru_counts_hits_and_misses_per_request_identity(self, fleet):
+        registry = get_registry()
+        hits = registry.counter("fleet.fingerprint_hits").value
+        misses = registry.counter("fleet.fingerprint_misses").value
+        bench = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n"
+        with connect(fleet) as client:
+            for name in ("lru-a", "lru-a", "lru-b"):
+                result = client.request("classify", bench=bench, name=name)
+                assert result["name"] == name
+        assert registry.counter("fleet.fingerprint_hits").value - hits == 1
+        assert (
+            registry.counter("fleet.fingerprint_misses").value - misses == 2
+        )
+
+    def test_malformed_requests_fail_at_the_frontend(self, fleet):
+        with connect(fleet) as client:
+            for fields in ({}, {"bench": "x", "circuit": "c17"},
+                           {"bench": 17}, {"circuit": 5}):
+                with pytest.raises(RemoteError) as exc_info:
+                    client.request("classify", **fields)
+                assert exc_info.value.error_type == "ProtocolError"
 
 
 class TestAdmissionControl:
@@ -301,5 +375,8 @@ class TestIntrospection:
         # front-end telemetry and worker telemetry in one view
         assert counters["fleet.requests"] >= 1
         assert counters["service.requests"] >= 1
+        assert counters["service.pool_hits"] >= 1
+        assert counters["service.pool_misses"] >= 1
+        assert "span.service.prepare" in snapshot["metrics"]["histograms"]
         assert snapshot["server"] == "repro-rd-fleet"
         assert snapshot["workers"] == 2
