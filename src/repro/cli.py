@@ -272,31 +272,32 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _classify_remote(args: argparse.Namespace) -> int:
-    """``classify --remote``: send the request to a running daemon.
+def _remote_circuit(spec: str) -> "Circuit | str":
+    """What a ``--remote`` request sends for ``spec``: a netlist file
+    loads here (and travels as ``.bench`` text); anything else travels
+    as a suite name for the server's generator to build."""
+    path = Path(spec)
+    if path.suffix in (".bench", ".pla") and path.exists():
+        return load_circuit(spec)
+    return spec
 
-    Suite names travel by name (the server's generator builds the
-    circuit); file inputs are serialized to ``.bench`` text.
-    """
+
+def _classify_remote(args: argparse.Namespace) -> int:
+    """``classify --remote``: send the request to a running daemon."""
     from repro.classify.session import format_session_stats
     from repro.errors import ReproError
     from repro.service.client import RetryPolicy, ServiceClient
 
-    path = Path(args.circuit)
-    spec: "Circuit | str"
-    if path.suffix in (".bench", ".pla") and path.exists():
-        spec = load_circuit(args.circuit)
-    else:
-        spec = args.circuit
     events = []
     try:
         # bounded retry with jittered backoff: a fleet worker respawning
         # (or a daemon restart) is invisible to the CLI user
         with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
             result = client.classify(
-                circuit=spec,
+                circuit=_remote_circuit(args.circuit),
                 criterion=args.criterion,
-                sort=args.sort,
+                # --sort applies to sigma only; fs/nr requests leave it out
+                sort=args.sort if args.criterion == "sigma" else None,
                 max_accepted=args.max_accepted,
                 on_event=events.append if args.verbose else None,
             )
@@ -726,14 +727,8 @@ def _tightness_remote(args: argparse.Namespace) -> int:
     try:
         with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
             for name in specs:
-                path = Path(name)
-                spec: "Circuit | str"
-                if path.suffix in (".bench", ".pla") and path.exists():
-                    spec = load_circuit(name)
-                else:
-                    spec = name
                 rows.append(client.tightness(
-                    circuit=spec,
+                    circuit=_remote_circuit(name),
                     criterion=args.criterion,
                     sort=args.sort,
                     max_accepted=args.max_accepted,

@@ -17,10 +17,10 @@ Fault tolerance, opt-in via a :class:`RetryPolicy`:
   clients from reconnecting in lockstep).
 * **request retry** — a request that dies at the transport level
   (connection reset, server gone mid-answer) reconnects and resends,
-  but **only for idempotent ops** (:data:`IDEMPOTENT_OPS` — every
-  current op is a pure read/compute; a future mutating op must not be
-  listed or a retry could double-apply it).  Structured errors from
-  the server are answers, never retried.
+  but **only for idempotent ops** (an op whose
+  :data:`~repro.service.protocol.OPS` spec says ``idempotent``; every
+  current op is a pure read/compute, listed in :data:`IDEMPOTENT_OPS`).
+  Structured errors from the server are answers, never retried.
 * **deadline propagation** — a ``classify(deadline=...)`` budget is a
   *total* budget: every (re)send carries the remaining budget (shrunk
   by elapsed time including backoff sleeps), the server honors it
@@ -60,10 +60,9 @@ from repro.service import protocol
 
 __all__ = ["IDEMPOTENT_OPS", "RetryPolicy", "ServiceClient"]
 
-#: ops a broken transport may transparently resend — all pure reads or
-#: deterministic computations; never add a mutating op
+#: ops a broken transport may transparently resend
 IDEMPOTENT_OPS = frozenset(
-    {"classify", "metrics", "ping", "signoff", "stats", "tightness"}
+    name for name, spec in protocol.OPS.items() if spec.idempotent
 )
 
 
@@ -219,9 +218,11 @@ class ServiceClient:
         """
         budget = fields.get("deadline")
         t0 = time.monotonic()
+        spec = protocol.OPS.get(op)
         retriable = (
             self.retry is not None
-            and op in IDEMPOTENT_OPS
+            and spec is not None
+            and spec.idempotent
             and self._spec is not None
         )
         attempts = self.retry.attempts if retriable else 1
@@ -356,23 +357,11 @@ class ServiceClient:
         ``cones=True`` requests cone granularity (the ECO path): the
         server reuses stored cone rows where it can and the result
         carries a ``"cone_stats"`` reuse summary."""
-        fields: dict = {"criterion": criterion, "sort": sort}
-        if cones:
-            fields["cones"] = True
-        if isinstance(circuit, Circuit):
-            from repro.circuit.bench import write_bench
-
-            fields["bench"] = write_bench(circuit)
-            fields["name"] = circuit.name
-        elif circuit is not None:
-            fields["circuit"] = circuit
-        if bench is not None:
-            fields["bench"] = bench
-        if max_accepted is not None:
-            fields["max_accepted"] = max_accepted
-        if deadline is not None:
-            fields["deadline"] = deadline
-        return self.request("classify", on_event=on_event, **fields)
+        return self._circuit_request(
+            "classify", circuit, bench, on_event,
+            criterion=criterion, sort=sort, max_accepted=max_accepted,
+            cones=cones, deadline=deadline,
+        )
 
     def tightness(
         self,
@@ -390,21 +379,11 @@ class ServiceClient:
         replays and solver diagnostics — plus fingerprint and session
         stats.  A circuit whose classifier accepts more than
         ``max_accepted`` paths answers a structured ``ClassifyError``."""
-        fields: dict = {"criterion": criterion, "sort": sort}
-        if isinstance(circuit, Circuit):
-            from repro.circuit.bench import write_bench
-
-            fields["bench"] = write_bench(circuit)
-            fields["name"] = circuit.name
-        elif circuit is not None:
-            fields["circuit"] = circuit
-        if bench is not None:
-            fields["bench"] = bench
-        if max_accepted is not None:
-            fields["max_accepted"] = max_accepted
-        if deadline is not None:
-            fields["deadline"] = deadline
-        return self.request("tightness", on_event=on_event, **fields)
+        return self._circuit_request(
+            "tightness", circuit, bench, on_event,
+            criterion=criterion, sort=sort, max_accepted=max_accepted,
+            deadline=deadline,
+        )
 
     def signoff(
         self,
@@ -426,6 +405,25 @@ class ServiceClient:
         assignment from ``seed``.  Scan designs fan out client-side —
         one request per capture cone; see
         :func:`repro.signoff.signoff_remote`."""
+        return self._circuit_request(
+            "signoff", circuit, bench, on_event,
+            k=k, slack=slack, exact=exact, delays=delays, seed=seed,
+            deadline=deadline,
+        )
+
+    def _circuit_request(
+        self,
+        op: str,
+        circuit: "Circuit | str | None",
+        bench: "str | None",
+        on_event: "Callable[[dict], None] | None",
+        **params,
+    ) -> dict:
+        """Send ``op`` for a suite name, ``.bench`` text or an in-memory
+        :class:`~repro.circuit.netlist.Circuit` (serialized to ``.bench``
+        with its name).  A parameter left at ``None`` or at a falsy
+        default of its :data:`~repro.service.protocol.OPS` spec stays off
+        the wire; the server fills it in."""
         fields: dict = {}
         if isinstance(circuit, Circuit):
             from repro.circuit.bench import write_bench
@@ -436,16 +434,9 @@ class ServiceClient:
             fields["circuit"] = circuit
         if bench is not None:
             fields["bench"] = bench
-        if k is not None:
-            fields["k"] = k
-        if slack is not None:
-            fields["slack"] = slack
-        if exact:
-            fields["exact"] = True
-        if delays is not None:
-            fields["delays"] = delays
-        if seed:
-            fields["seed"] = seed
-        if deadline is not None:
-            fields["deadline"] = deadline
-        return self.request("signoff", on_event=on_event, **fields)
+        schema = protocol.OPS[op].params
+        for name, value in params.items():
+            default = schema[name].default
+            if value is not None and (default or value != default):
+                fields[name] = value
+        return self.request(op, on_event=on_event, **fields)

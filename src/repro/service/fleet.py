@@ -13,16 +13,20 @@ Request path, in order:
    (:mod:`repro.service.hashring`), so every circuit has a home shard
    whose in-memory implication engine and store pages stay hot.  The
    fingerprint comes from a front-end LRU keyed by request identity
-   (:func:`~repro.service.server.request_key`: the ``circuit`` name, or
+   (:func:`~repro.service.protocol.request_key`: the ``circuit`` name, or
    the ``bench`` digest and ``name``); a miss parses the netlist once
    in a side thread (malformed input therefore fails fast at the
    front-end, before touching a worker).  Workers key their session
    pools by the same identity; their stores stay keyed by fingerprint.
-2. **Single-flight coalescing** — concurrent identical ``(request
-   identity, criterion, sort, max_accepted, deadline)`` classifies
-   share one worker computation.  The identity, not the fingerprint,
-   keys them, so isomorphic circuits under different names never share
-   an answer.  The first request is the *leader* (it streams
+2. **Single-flight coalescing** — concurrent requests with one ``(op,
+   request identity, normalized parameters)`` key share one worker
+   computation.  The parameters are every field of the op's
+   :data:`~repro.service.protocol.OPS` spec, ``deadline`` included,
+   with defaults filled in (:func:`~repro.service.protocol.normalize`);
+   workers read nothing else, so no field outside the key can change an
+   answer.  The identity, not the fingerprint, keys them, so isomorphic
+   circuits under different names never share an answer.  The first
+   request is the *leader* (it streams
    the worker's ``start`` event and computes); every other joins as a
    *follower* and receives the leader's final answer with
    ``"coalesced": true``.  A failing leader fails its followers with
@@ -34,10 +38,10 @@ Request path, in order:
 4. **Failure handling** — a worker that dies or wedges mid-request
    breaks the front-end's backend connection; the front-end drops the
    shard from the ring, pokes the supervisor (which respawns it with
-   backoff), and transparently retries idempotent requests on a
-   surviving shard.  Exhausted retries answer a structured
-   ``TaskCrashed`` — a client never sees a dropped connection for a
-   worker-side failure.
+   backoff), and transparently retries requests whose op spec is
+   ``idempotent`` on a surviving shard.  Exhausted retries answer a
+   structured ``TaskCrashed`` — a client never sees a dropped
+   connection for a worker-side failure.
 
 Deadlines propagate: a request's ``deadline`` is a total budget — the
 front-end forwards the *remaining* budget after routing/queueing (and
@@ -47,8 +51,6 @@ re-shrinks it on a retry), and the worker honors it server-side.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import os
 import shutil
 import tempfile
 import time
@@ -67,24 +69,24 @@ from repro.errors import (
 from repro.obs import MetricsRegistry, get_registry
 from repro.service import protocol
 from repro.service.hashring import HashRing
+from repro.service.protocol import OpSpec, request_key
 from repro.service.server import (
     JsonLineServer,
     _build_circuit,
-    _Counters,
-    request_key,
     run_until_signalled,
 )
 from repro.service.supervisor import WorkerSupervisor, unix_rpc
 from repro.store.fingerprint import canonical_form
 
-__all__ = ["FleetServer", "serve_fleet"]
+__all__ = ["FleetServer", "coalescing_key", "serve_fleet"]
 
-#: ops safe to retry on another worker after a mid-request crash — all
-#: current ops are pure/deterministic; a future mutating op must NOT be
-#: added here (the fleet would double-apply it)
-IDEMPOTENT_OPS = frozenset(
-    {"classify", "metrics", "ping", "signoff", "stats", "tightness"}
-)
+
+def coalescing_key(spec: OpSpec, circuit_key: tuple, params: dict) -> tuple:
+    """The single-flight key of a circuit request: its op, its circuit
+    identity (:func:`~repro.service.protocol.request_key`) and the
+    parameters :func:`~repro.service.protocol.normalize` returned.
+    Workers read nothing else, so one key means one answer."""
+    return (spec.name, circuit_key, tuple(sorted(params.items())))
 
 
 class _WorkerConnError(ServiceError):
@@ -105,6 +107,9 @@ class _RelayedError(ReproError):
 
 class FleetServer(JsonLineServer):
     """Front-end acceptor + supervisor for N worker processes."""
+
+    _metric_prefix = "fleet"
+    _request_prefix = "flt"
 
     def __init__(
         self,
@@ -135,7 +140,6 @@ class FleetServer(JsonLineServer):
         self.retry_attempts = retry_attempts
         self.reroute_wait = reroute_wait
         self.health_timeout = health_timeout
-        self.counters = _Counters()
         self._socket_dir = socket_dir or tempfile.mkdtemp(prefix="repro-fleet-")
         self._own_socket_dir = socket_dir is None
         self.supervisor = WorkerSupervisor(
@@ -162,7 +166,6 @@ class FleetServer(JsonLineServer):
         self._fp_executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-fleet-fp"
         )
-        self._request_seq = 0
 
     # -- lifecycle ------------------------------------------------------
     async def start(self, host=None, port=None, socket_path=None) -> str:
@@ -197,63 +200,25 @@ class FleetServer(JsonLineServer):
         for reader, bw in self._pools.pop(index, []):
             bw.close()
 
-    # -- request handling -----------------------------------------------
-    async def _serve_request(self, line, writer) -> None:
-        self.counters.requests += 1
-        self._request_seq += 1
-        req_id = f"flt-{self._request_seq}"
-        registry = get_registry()
-        registry.counter("fleet.requests").inc()
-        started = time.perf_counter()
-        request_id = None
-        try:
-            message = protocol.decode_line(line)
-            request_id = message.get("id")
-            op = protocol.validate_request(message)
-            registry.counter(f"fleet.op.{op}").inc()
-            if op == "ping":
-                result = {
-                    "server": "repro-rd-fleet",
-                    "version": __version__,
-                    "workers": len(self.supervisor.workers),
-                }
-            elif op == "stats":
-                result = self._op_stats()
-            elif op == "metrics":
-                result = await self._op_metrics()
-            else:
-                result = await self._op_classify(message, writer, req_id)
-            await self._send(
-                writer, protocol.ok_response(request_id, result, req_id)
-            )
-            self.counters.ok += 1
-            registry.counter("fleet.ok").inc()
-        except _RelayedError as exc:
-            self.counters.errors += 1
-            registry.counter("fleet.relayed_errors").inc()
-            await self._send(writer, {
-                "id": request_id, "ok": False,
-                "error": dict(exc.error), "request_id": req_id,
-            })
-        except ReproError as exc:
-            self.counters.errors += 1
-            registry.counter("fleet.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        except Exception as exc:  # defensive: never kill the connection
-            self.counters.errors += 1
-            registry.counter("fleet.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        finally:
-            registry.histogram("fleet.request_seconds").observe(
-                time.perf_counter() - started
-            )
+    def _failure(self, exc: Exception, request_id, req_id: str) -> dict:
+        if not isinstance(exc, _RelayedError):
+            return super()._failure(exc, request_id, req_id)
+        self.counters.errors += 1
+        get_registry().counter("fleet.relayed_errors").inc()
+        return {
+            "id": request_id, "ok": False,
+            "error": dict(exc.error), "request_id": req_id,
+        }
 
     # -- ops ------------------------------------------------------------
-    def _op_stats(self) -> dict:
+    async def _op_ping(self) -> dict:
+        return {
+            "server": "repro-rd-fleet",
+            "version": __version__,
+            "workers": len(self.supervisor.workers),
+        }
+
+    async def _op_stats(self) -> dict:
         registry = get_registry()
         workers = []
         for handle in self.supervisor.describe():
@@ -298,43 +263,12 @@ class FleetServer(JsonLineServer):
             "metrics": merged.snapshot(),
         }
 
-    # -- classify: fingerprint, coalesce, dispatch ----------------------
-    async def _op_classify(self, message, writer, req_id) -> dict:
+    # -- circuit ops: fingerprint, coalesce, dispatch --------------------
+    async def _op_circuit(self, message, spec, params, writer, req_id) -> dict:
         t0 = time.monotonic()
-        deadline = message.get("deadline")
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
         circuit_key = request_key(message)
         fingerprint = await self._fingerprint_for(circuit_key, message)
-        # the op is part of the key: a classify and a tightness request
-        # on the same circuit compute different answers
-        op = message.get("op", "classify")
-        if op == "signoff":
-            # an rdfp1: fingerprint is timing-blind, so the query AND the
-            # delay assignment must separate otherwise-identical requests
-            delays_text = message.get("delays")
-            key = (
-                op,
-                circuit_key,
-                message.get("k"),
-                message.get("slack"),
-                bool(message.get("exact", False)),
-                message.get("seed", 0),
-                None if delays_text is None else hashlib.sha256(
-                    delays_text.encode("utf-8")
-                ).hexdigest(),
-                deadline,
-            )
-        else:
-            key = (
-                op,
-                circuit_key,
-                message.get("criterion", "sigma"),
-                message.get("sort", "heu2"),
-                message.get("max_accepted"),
-                deadline,
-                bool(message.get("cones", False)),
-            )
+        key = coalescing_key(spec, circuit_key, params)
         registry = get_registry()
         inflight = self._inflight.get(key)
         if inflight is not None:
@@ -347,7 +281,7 @@ class FleetServer(JsonLineServer):
         self._inflight[key] = future
         try:
             result = await self._dispatch(
-                message, fingerprint, writer, t0, deadline
+                message, spec, fingerprint, writer, t0, params["deadline"]
             )
             result["coalesced"] = False
             cone_stats = result.get("cone_stats")
@@ -387,16 +321,18 @@ class FleetServer(JsonLineServer):
         return canonical_form(_build_circuit(message)).fingerprint
 
     async def _dispatch(
-        self, message, fingerprint, writer, t0, deadline
+        self, message, spec: OpSpec, fingerprint, writer, t0, deadline
     ) -> dict:
-        """Route, admit and forward one classify; transparently retry a
-        transport-level worker failure on the (re-routed) ring."""
+        """Route, admit and forward one request; transparently retry a
+        transport-level worker failure on the (re-routed) ring when the
+        op is idempotent."""
         registry = get_registry()
         label = message.get("circuit") or message.get(
             "name", fingerprint[:18]
         )
         last_error = "worker connection failed"
-        for attempt in range(self.retry_attempts):
+        attempts = self.retry_attempts if spec.idempotent else 1
+        for attempt in range(attempts):
             worker = await self._route(fingerprint)
             if self._pending.get(worker, 0) >= self.max_pending:
                 registry.counter("fleet.shed").inc()
@@ -422,7 +358,7 @@ class FleetServer(JsonLineServer):
                 # shard once its replacement answers pings
                 self._worker_down(worker)
                 self.supervisor.note_failure(worker)
-                if attempt + 1 < self.retry_attempts:
+                if attempt + 1 < attempts:
                     registry.counter("fleet.retries").inc()
             finally:
                 self._pending[worker] = max(

@@ -20,61 +20,51 @@ problems (an oversized line)::
 (``CircuitError``, ``ClassifyError``, ``TaskTimeout``, ...), which the
 client rehydrates as :class:`repro.errors.RemoteError`.
 
-Ops:
+Ops and their fields.  :data:`OPS` is this table, and
+:func:`normalize` checks every request against it before any work
+starts: a wrong type (a boolean is not an int), a value outside
+``choices`` or a bad circuit identity answers ``ProtocolError``.
+``circuit/bench`` is that identity: a suite generator name in
+``circuit``, or ``.bench`` text in ``bench`` with an optional ``name``.
+Fields outside the table are ignored::
 
-``classify``
-    Fields: ``circuit`` (suite generator name) *or* ``bench`` (.bench
-    source text); optional ``criterion`` (``fs``/``nr``/``sigma``,
-    default ``sigma``), ``sort`` (``pin``/``heu1``/``heu2``/``heu2inv``,
-    default ``heu2``; ``sigma`` only), ``max_accepted`` (int),
-    ``deadline`` (seconds; default derived from the circuit's exact
-    path count via the supervisor budget rule), ``cones`` (bool,
-    default ``false``).  With ``"cones": true`` the pass runs at cone
-    granularity against the store's schema-v2 cone table (the ECO
-    path): ``sort`` must be ``pin``/``heu1``/``heu2`` (derived per
-    cone), ``max_accepted`` becomes a per-cone budget, and the result
-    carries an extra ``"cone_stats"`` object —
-    ``{"cones": N, "reused": n, "computed": m, "reuse_ratio": r}`` —
-    describing how much of the answer came from stored cone rows.
-``tightness``
-    Exact-vs-approximate verdict counts for one circuit (the Lemma-2
-    gap, via :mod:`repro.verdict`).  Fields: ``circuit`` *or* ``bench``
-    as for ``classify``; optional ``criterion`` / ``sort`` (same
-    domains and defaults), ``max_accepted`` (int — a circuit whose
-    classifier accepts more paths answers a structured
-    ``ClassifyError``) and ``deadline``.  The result is one tightness
-    row: ``total_logical``, ``approx_accepted``, ``exact_accepted``,
-    ``refuted``, both RD percentages, ``witness_replays`` and solver
-    diagnostics, plus ``fingerprint`` and ``session`` stats.
-``signoff``
-    K-longest (or above-slack) robustly-testable paths of one circuit
-    under an annotated delay assignment (:mod:`repro.signoff`).
-    Fields: ``circuit`` *or* ``bench`` as for ``classify``; exactly one
-    of ``k`` (int >= 1) / ``slack`` (number); optional ``delays``
-    (sidecar-format annotation text — ``<gate> <rise> <fall>`` lines —
-    which must cover every non-PI gate: the wire never falls back so
-    client and server cannot disagree), ``seed`` (int, used only when
-    ``delays`` is absent: the deterministic fallback assignment),
-    ``exact`` (bool — escalate survivors through the SAT oracle) and
-    ``deadline``.  The result carries the canonical row list
-    (``capture``/``source``/``transition``/``delay``/``path``), the
-    stage counters, ``delays_digest``, ``source``
-    (``"computed"``/``"store"`` — rows are cached under store kind
-    ``"signoff"``, keyed by the circuit fingerprint plus the canonical
-    delay digest and query), ``fingerprint`` and ``session`` stats.
-    Scan-domain fan-out is client-side: each cone of a
-    :class:`~repro.circuit.sequential.ScanCircuit` arrives as its own
-    independently-fingerprinted (hence independently hashed, coalesced
-    and cached) ``signoff`` request.
-``ping``
-    Liveness + version handshake.
-``stats``
-    Server counters and, when the server has one, result-store stats.
-``metrics``
-    Full telemetry snapshot from the server's :mod:`repro.obs`
-    registry: request counters, latency histograms, the in-flight
-    gauge, store hit/miss counters and deadline aborts (rendered by
-    ``repro-rd metrics --remote``).
+    | op        | field         | type   | default | choices                  | idempotent |
+    |-----------|---------------|--------|---------|--------------------------|------------|
+    | classify  | circuit/bench | str    |         |                          | yes        |
+    | classify  | criterion     | str    | "sigma" | fs, nr, sigma            | yes        |
+    | classify  | sort          | str    | "heu2"  | pin, heu1, heu2, heu2inv | yes        |
+    | classify  | max_accepted  | int    | null    |                          | yes        |
+    | classify  | cones         | bool   | false   |                          | yes        |
+    | classify  | deadline      | number | null    |                          | yes        |
+    | tightness | circuit/bench | str    |         |                          | yes        |
+    | tightness | criterion     | str    | "sigma" | fs, nr, sigma            | yes        |
+    | tightness | sort          | str    | "heu2"  | pin, heu1, heu2, heu2inv | yes        |
+    | tightness | max_accepted  | int    | null    |                          | yes        |
+    | tightness | deadline      | number | null    |                          | yes        |
+    | signoff   | circuit/bench | str    |         |                          | yes        |
+    | signoff   | k             | int    | null    |                          | yes        |
+    | signoff   | slack         | number | null    |                          | yes        |
+    | signoff   | exact         | bool   | false   |                          | yes        |
+    | signoff   | delays        | str    | null    |                          | yes        |
+    | signoff   | seed          | int    | 0       |                          | yes        |
+    | signoff   | deadline      | number | null    |                          | yes        |
+    | metrics   |               |        |         |                          | yes        |
+    | ping      |               |        |         |                          | yes        |
+    | stats     |               |        |         |                          | yes        |
+
+``sort`` shapes only a ``sigma`` pass but is checked for every
+criterion; ``cones: true`` (cone granularity against the store's cone
+table, the ECO path: the result adds a ``cone_stats`` reuse summary)
+narrows it to ``pin``/``heu1``/``heu2``.  ``signoff`` takes at most one
+of ``k`` (>= 1) and ``slack``; its ``delays`` text must cover every
+non-PI gate (``seed`` only picks the fallback when ``delays`` is
+absent).  A null ``deadline`` comes from the circuit's path count, a
+null ``max_accepted`` from the server.  ``tightness`` answers one
+exact-vs-approximate verdict row (:mod:`repro.verdict`), ``signoff``
+the K-longest or above-slack robustly-testable paths
+(:mod:`repro.signoff`); ``ping``, ``stats`` and ``metrics`` report
+liveness, counters and the :mod:`repro.obs` telemetry snapshot.
+docs/API.md describes each result.
 
 Every server message for a request additionally carries the
 server-assigned ``request_id`` (``"req-<n>"``) alongside the client's
@@ -99,23 +89,131 @@ fields when the daemon runs with ``--workers N``:
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import ProtocolError
 
 __all__ = [
     "MAX_LINE",
+    "OPS",
+    "OpSpec",
+    "Param",
     "decode_line",
     "encode_line",
     "error_response",
     "event",
+    "normalize",
     "ok_response",
+    "request_key",
+    "validate_request",
 ]
 
 #: longest accepted wire line — generously above any realistic ``.bench``
 MAX_LINE = 8 * 1024 * 1024
 
-_VALID_OPS = ("classify", "metrics", "ping", "signoff", "stats", "tightness")
+_NUMBER = (int, float)
+_TYPE_NAMES = {(str,): "str", (int,): "int", (bool,): "bool", _NUMBER: "number"}
+#: input sorts a cone-granularity pass can derive per cone
+_CONE_SORTS = ("pin", "heu1", "heu2")
+
+
+@dataclass(frozen=True)
+class Param:
+    """One request field: its JSON types, its default when omitted and,
+    for an enumerated field, the values it may take.  ``null`` stands
+    for an omitted field only where the default is ``None``."""
+
+    types: tuple
+    default: object = None
+    choices: "tuple | None" = None
+
+    @property
+    def type_name(self) -> str:
+        return _TYPE_NAMES[self.types]
+
+    def read(self, name: str, message: dict):
+        value = message.get(name, self.default)
+        if value is None and self.default is None:
+            return None
+        # a JSON true/false is a Python bool, which is also an int
+        if (isinstance(value, bool) != (bool in self.types)
+                or not isinstance(value, self.types)):
+            raise ProtocolError(
+                f"'{name}' must be {self.type_name}, "
+                f"got {type(value).__name__}"
+            )
+        if self.choices is not None and value not in self.choices:
+            raise ProtocolError(
+                f"unknown {name} {value!r}; valid: {', '.join(self.choices)}"
+            )
+        return value
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One wire op: its parameters, whether it names a circuit (see
+    :func:`request_key`), whether a broken transport may resend it, and
+    an optional ``check(params)`` for rules that span fields.
+
+    A mutating op must be ``idempotent=False``: the fleet and the
+    client would otherwise resend it after a crash and apply it twice.
+    """
+
+    name: str
+    params: "dict[str, Param]" = field(default_factory=dict)
+    circuit: bool = False
+    idempotent: bool = True
+    check: "Callable[[dict], None] | None" = None
+
+
+def _check_classify(params: dict) -> None:
+    if params["cones"] and params["sort"] not in _CONE_SORTS:
+        raise ProtocolError(
+            f"sort {params['sort']!r} is not available at cone granularity; "
+            f"valid: {', '.join(_CONE_SORTS)}"
+        )
+
+
+def _check_signoff(params: dict) -> None:
+    if params["k"] is not None and params["slack"] is not None:
+        raise ProtocolError("pass either 'k' or 'slack', not both")
+    if params["k"] is not None and params["k"] < 1:
+        raise ProtocolError("'k' must be an integer >= 1")
+
+
+def _circuit_op(name: str, check=None, **params: Param) -> OpSpec:
+    params["deadline"] = Param(_NUMBER)
+    return OpSpec(name, params, circuit=True, check=check)
+
+
+_ANALYSIS = dict(
+    criterion=Param((str,), "sigma", ("fs", "nr", "sigma")),
+    sort=Param((str,), "heu2", _CONE_SORTS + ("heu2inv",)),
+    max_accepted=Param((int,)),
+)
+
+#: every wire op by name: the one schema the daemon, the fleet front end
+#: and the client derive validation, coalescing keys and retries from
+OPS: "dict[str, OpSpec]" = {spec.name: spec for spec in (
+    _circuit_op(
+        "classify", _check_classify, **_ANALYSIS, cones=Param((bool,), False)
+    ),
+    _circuit_op("tightness", **_ANALYSIS),
+    _circuit_op(
+        "signoff", _check_signoff,
+        k=Param((int,)),
+        slack=Param(_NUMBER),
+        exact=Param((bool,), False),
+        delays=Param((str,)),
+        seed=Param((int,), 0),
+    ),
+    OpSpec("metrics"),
+    OpSpec("ping"),
+    OpSpec("stats"),
+)}
 
 
 def encode_line(message: dict) -> bytes:
@@ -145,11 +243,60 @@ def validate_request(message: dict) -> str:
     op = message.get("op")
     if not isinstance(op, str):
         raise ProtocolError("request is missing a string 'op' field")
-    if op not in _VALID_OPS:
+    if op not in OPS:
         raise ProtocolError(
-            f"unknown op {op!r}; valid: {', '.join(_VALID_OPS)}"
+            f"unknown op {op!r}; valid: {', '.join(sorted(OPS))}"
         )
     return op
+
+
+def request_key(message: dict) -> tuple:
+    """The identity of the circuit a request names.
+
+    ``("circuit", name)`` for a suite generator, ``("bench",
+    sha256(text), name)`` for netlist text.  Two requests with one key
+    build the identical circuit, name included, so a key can stand in
+    for the circuit without building it.  Raises :class:`ProtocolError`
+    unless exactly one of ``bench``/``circuit`` is given with the right
+    type; an unknown suite name surfaces only when the circuit is built.
+    """
+    bench = message.get("bench")
+    name = message.get("circuit")
+    if (bench is None) == (name is None):
+        raise ProtocolError(
+            "classify needs exactly one of 'bench' (netlist text) or "
+            "'circuit' (suite generator name)"
+        )
+    if bench is not None:
+        if not isinstance(bench, str):
+            raise ProtocolError("'bench' must be .bench source text")
+        return (
+            "bench",
+            hashlib.sha256(bench.encode("utf-8")).hexdigest(),
+            str(message.get("name", "remote")),
+        )
+    if not isinstance(name, str):
+        raise ProtocolError("'circuit' must be a suite generator name")
+    return ("circuit", name)
+
+
+def normalize(message: dict) -> "tuple[OpSpec, dict]":
+    """Check a decoded request against its op's spec.
+
+    Returns the spec and every one of its parameters, defaults filled
+    in; handlers read nothing else, so two requests with equal
+    parameters (and circuit identity) get the same answer.  Raises
+    :class:`ProtocolError` before any work starts.
+    """
+    spec = OPS[validate_request(message)]
+    if spec.circuit:
+        request_key(message)
+    params = {
+        name: param.read(name, message) for name, param in spec.params.items()
+    }
+    if spec.check is not None:
+        spec.check(params)
+    return spec, params
 
 
 def ok_response(request_id, result: dict, server_request_id: "str | None" = None) -> dict:

@@ -32,7 +32,6 @@ Execution discipline:
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,11 +43,12 @@ from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Circuit
 from repro.classify.conditions import Criterion
 from repro.classify.session import CircuitSession
-from repro.errors import CircuitError, ProtocolError, ReproError, TaskTimeout
+from repro.errors import CircuitError, ProtocolError, TaskTimeout
 from repro.experiments.supervisor import default_task_budget
 from repro.gen.suite import get_circuit
 from repro.obs import get_registry, span
 from repro.service import protocol
+from repro.service.protocol import request_key
 from repro.sorting.heuristics import pin_order_sort
 from repro.store.db import ResultStore, as_store
 from repro.store.fingerprint import canonical_form
@@ -63,36 +63,6 @@ __all__ = [
 ]
 
 _CRITERIA = {"fs": Criterion.FS, "nr": Criterion.NR, "sigma": Criterion.SIGMA_PI}
-
-
-def request_key(message: dict) -> tuple:
-    """The identity of the circuit a request names.
-
-    ``("circuit", name)`` for a suite generator, ``("bench",
-    sha256(text), name)`` for netlist text.  Two requests with one key
-    build the identical circuit, name included, so a key can stand in
-    for the circuit without building it.  Raises :class:`ProtocolError`
-    unless exactly one of ``bench``/``circuit`` is given with the right
-    type; an unknown suite name surfaces only when the circuit is built.
-    """
-    bench = message.get("bench")
-    name = message.get("circuit")
-    if (bench is None) == (name is None):
-        raise ProtocolError(
-            "classify needs exactly one of 'bench' (netlist text) or "
-            "'circuit' (suite generator name)"
-        )
-    if bench is not None:
-        if not isinstance(bench, str):
-            raise ProtocolError("'bench' must be .bench source text")
-        return (
-            "bench",
-            hashlib.sha256(bench.encode("utf-8")).hexdigest(),
-            str(message.get("name", "remote")),
-        )
-    if not isinstance(name, str):
-        raise ProtocolError("'circuit' must be a suite generator name")
-    return ("circuit", name)
 
 
 def _build_circuit(message: dict) -> Circuit:
@@ -197,30 +167,32 @@ def _resolve_sort(session: CircuitSession, kind: str):
         return pin_order_sort(session.circuit)
     if kind == "heu1":
         return session.heuristic1_sort()
-    if kind == "heu2":
-        return session.heuristic2_sort()
-    if kind == "heu2inv":
-        return session.heuristic2_sort().inverted()
-    raise ProtocolError(
-        f"unknown sort {kind!r}; valid: pin, heu1, heu2, heu2inv"
-    )
+    sort = session.heuristic2_sort()
+    return sort.inverted() if kind == "heu2inv" else sort
 
 
 class JsonLineServer:
     """Shared lifecycle of every JSON-lines daemon in this package.
 
-    Owns the listener, the connection set and the graceful-drain state
-    machine; subclasses implement :meth:`_serve_request` (answer one
-    decoded wire line on the still-open connection) and may hook
-    :meth:`_on_close` for resource teardown.  :class:`AnalysisServer`
-    is the single-process classifier daemon;
-    :class:`~repro.service.fleet.FleetServer` is the sharding
-    front-end — both speak the identical protocol through this base,
-    so a client cannot tell which one it connected to.
+    Owns the listener, the connection set, the graceful-drain state
+    machine and request dispatch: each request is checked by
+    :func:`~repro.service.protocol.normalize` and answered by the
+    subclass's ``_op_<name>()`` for an op without a circuit, or by
+    :meth:`_op_circuit` for an op with one.  :class:`AnalysisServer` is
+    the single-process classifier daemon;
+    :class:`~repro.service.fleet.FleetServer` is the sharding front-end
+    — both speak the identical protocol through this base, so a client
+    cannot tell which one it connected to.
     """
+
+    #: prefix of this server's metric names and of its request ids
+    _metric_prefix = "service"
+    _request_prefix = "req"
 
     def __init__(self, drain_timeout: float = 30.0):
         self.drain_timeout = drain_timeout
+        self.counters = _Counters()
+        self._request_seq = 0
         self._server: "asyncio.base_events.Server | None" = None
         self._connections: "set[_Connection]" = set()
         self._tasks: "set[asyncio.Task]" = set()
@@ -343,6 +315,62 @@ class JsonLineServer:
     async def _serve_request(
         self, line: bytes, writer: asyncio.StreamWriter
     ) -> None:
+        """Answer one request; every failure is a structured error
+        response on the same connection, never a disconnect.
+
+        Every message the server sends for this request carries the
+        server-assigned ``request_id`` (``req-<n>``; ``flt-<n>`` from a
+        fleet front end), so a ``start`` event, its result/error and the
+        server's telemetry correlate.
+        """
+        self.counters.requests += 1
+        self._request_seq += 1
+        req_id = f"{self._request_prefix}-{self._request_seq}"
+        prefix = self._metric_prefix
+        registry = get_registry()
+        registry.counter(f"{prefix}.requests").inc()
+        in_flight = registry.gauge(f"{prefix}.in_flight")
+        in_flight.inc()
+        started = time.perf_counter()
+        request_id = None
+        try:
+            message = protocol.decode_line(line)
+            request_id = message.get("id")
+            spec, params = protocol.normalize(message)
+            registry.counter(f"{prefix}.op.{spec.name}").inc()
+            if spec.circuit:
+                result = await self._op_circuit(
+                    message, spec, params, writer, req_id
+                )
+            else:
+                result = await getattr(self, f"_op_{spec.name}")()
+            await self._send(
+                writer, protocol.ok_response(request_id, result, req_id)
+            )
+            self.counters.ok += 1
+            registry.counter(f"{prefix}.ok").inc()
+        except Exception as exc:  # never kill the connection
+            await self._send(writer, self._failure(exc, request_id, req_id))
+        finally:
+            in_flight.dec()
+            registry.histogram(f"{prefix}.request_seconds").observe(
+                time.perf_counter() - started
+            )
+
+    def _failure(self, exc: Exception, request_id, req_id: str) -> dict:
+        """Count a failed request and build its error response."""
+        self.counters.errors += 1
+        get_registry().counter(f"{self._metric_prefix}.errors").inc()
+        return protocol.error_response(request_id, exc, req_id)
+
+    async def _op_circuit(
+        self,
+        message: dict,
+        spec: protocol.OpSpec,
+        params: dict,
+        writer: asyncio.StreamWriter,
+        req_id: str,
+    ) -> dict:
         raise NotImplementedError
 
 
@@ -369,86 +397,29 @@ class AnalysisServer(JsonLineServer):
         self.concurrency = concurrency
         self.default_deadline = default_deadline
         self.max_accepted = max_accepted
-        self.counters = _Counters()
         self.sessions = SessionPool(self.store, max_idle=2 * concurrency)
         self._executor = ThreadPoolExecutor(
             max_workers=concurrency, thread_name_prefix="repro-classify"
         )
         self._admission = asyncio.Semaphore(concurrency)
-        self._request_seq = 0
 
     def _on_close(self) -> None:
         self._executor.shutdown(wait=False)
         if self.store is not None:
             self.store.close()
 
-    async def _serve_request(
-        self, line: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer one request; every failure is a structured error
-        response on the same connection, never a disconnect.
+    def _failure(self, exc: Exception, request_id, req_id: str) -> dict:
+        if not isinstance(exc, TaskTimeout):
+            return super()._failure(exc, request_id, req_id)
+        self.counters.timeouts += 1
+        get_registry().counter("service.deadline_aborts").inc()
+        return protocol.error_response(request_id, exc, req_id)
 
-        Every message the server sends for this request carries the
-        server-assigned ``request_id`` (``req-<n>``), so a ``start``
-        event, its result/error and the server's telemetry correlate.
-        """
-        self.counters.requests += 1
-        self._request_seq += 1
-        req_id = f"req-{self._request_seq}"
-        registry = get_registry()
-        registry.counter("service.requests").inc()
-        in_flight = registry.gauge("service.in_flight")
-        in_flight.inc()
-        started = time.perf_counter()
-        request_id = None
-        try:
-            message = protocol.decode_line(line)
-            request_id = message.get("id")
-            op = protocol.validate_request(message)
-            registry.counter(f"service.op.{op}").inc()
-            if op == "ping":
-                result = {"server": "repro-rd", "version": __version__}
-            elif op == "stats":
-                result = await self._op_stats()
-            elif op == "metrics":
-                result = self._op_metrics()
-            elif op == "tightness":
-                result = await self._op_tightness(message, writer, req_id)
-            elif op == "signoff":
-                result = await self._op_signoff(message, writer, req_id)
-            else:
-                result = await self._op_classify(message, writer, req_id)
-            await self._send(
-                writer, protocol.ok_response(request_id, result, req_id)
-            )
-            self.counters.ok += 1
-            registry.counter("service.ok").inc()
-        except TaskTimeout as exc:
-            self.counters.timeouts += 1
-            registry.counter("service.deadline_aborts").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        except ReproError as exc:
-            self.counters.errors += 1
-            registry.counter("service.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        except Exception as exc:  # defensive: never kill the connection
-            self.counters.errors += 1
-            registry.counter("service.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        finally:
-            in_flight.dec()
-            registry.histogram("service.request_seconds").observe(
-                time.perf_counter() - started
-            )
+    # -- ops: one handler per protocol.OPS entry -------------------------
+    async def _op_ping(self) -> dict:
+        return {"server": "repro-rd", "version": __version__}
 
-    # -- ops ------------------------------------------------------------
-    def _op_metrics(self) -> dict:
+    async def _op_metrics(self) -> dict:
         """The server's full telemetry snapshot (``repro-rd metrics``)."""
         return {
             "server": "repro-rd",
@@ -476,96 +447,13 @@ class AnalysisServer(JsonLineServer):
             }
         return result
 
-    async def _op_classify(
-        self, message: dict, writer: asyncio.StreamWriter, req_id: str
-    ) -> dict:
-        criterion_name = message.get("criterion", "sigma")
-        if criterion_name not in _CRITERIA:
-            raise ProtocolError(
-                f"unknown criterion {criterion_name!r}; valid: "
-                f"{', '.join(sorted(_CRITERIA))}"
-            )
-        criterion = _CRITERIA[criterion_name]
-        sort_kind = message.get("sort", "heu2")
-        max_accepted = message.get("max_accepted", self.max_accepted)
-        if max_accepted is not None and not isinstance(max_accepted, int):
-            raise ProtocolError("'max_accepted' must be an integer")
-        cones = message.get("cones", False)
-        if not isinstance(cones, bool):
-            raise ProtocolError("'cones' must be a boolean")
-        if cones and sort_kind not in ("pin", "heu1", "heu2"):
-            raise ProtocolError(
-                f"sort {sort_kind!r} is not available at cone granularity; "
-                "valid: pin, heu1, heu2"
-            )
-        return await self._run_session_op(
-            message, writer, req_id,
-            self._classify, criterion, sort_kind, max_accepted, cones,
-        )
-
-    async def _op_tightness(
-        self, message: dict, writer: asyncio.StreamWriter, req_id: str
-    ) -> dict:
-        """Exact-vs-approximate verdicts for one circuit (repro.verdict)."""
-        criterion_name = message.get("criterion", "sigma")
-        if criterion_name not in _CRITERIA:
-            raise ProtocolError(
-                f"unknown criterion {criterion_name!r}; valid: "
-                f"{', '.join(sorted(_CRITERIA))}"
-            )
-        criterion = _CRITERIA[criterion_name]
-        sort_kind = message.get("sort", "heu2")
-        if sort_kind not in ("pin", "heu1", "heu2", "heu2inv"):
-            raise ProtocolError(
-                f"unknown sort {sort_kind!r}; valid: pin, heu1, heu2, heu2inv"
-            )
-        max_accepted = message.get("max_accepted", self.max_accepted)
-        if max_accepted is not None and not isinstance(max_accepted, int):
-            raise ProtocolError("'max_accepted' must be an integer")
-        return await self._run_session_op(
-            message, writer, req_id,
-            self._tightness, criterion, sort_kind, max_accepted,
-        )
-
-    async def _op_signoff(
-        self, message: dict, writer: asyncio.StreamWriter, req_id: str
-    ) -> dict:
-        """K-longest / above-slack robustly-testable paths (repro.signoff)."""
-        k = message.get("k")
-        slack = message.get("slack")
-        if k is not None and slack is not None:
-            raise ProtocolError("pass either 'k' or 'slack', not both")
-        if k is not None and (not isinstance(k, int) or k < 1):
-            raise ProtocolError("'k' must be an integer >= 1")
-        if slack is not None and not isinstance(slack, (int, float)):
-            raise ProtocolError("'slack' must be a number")
-        exact = message.get("exact", False)
-        if not isinstance(exact, bool):
-            raise ProtocolError("'exact' must be a boolean")
-        delays_text = message.get("delays")
-        if delays_text is not None and not isinstance(delays_text, str):
-            raise ProtocolError("'delays' must be annotation text")
-        seed = message.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ProtocolError("'seed' must be an integer")
-        return await self._run_session_op(
-            message, writer, req_id,
-            self._signoff, k, slack, exact, delays_text, seed,
-        )
-
-    async def _run_session_op(
-        self,
-        message: dict,
-        writer: asyncio.StreamWriter,
-        req_id: str,
-        work: "Callable[..., dict]",
-        *args,
-    ) -> dict:
-        """Run ``work(session, *args)`` on a pooled session under the
-        request's deadline, after streaming the ``start`` event."""
-        deadline = message.get("deadline", self.default_deadline)
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
+    async def _op_circuit(self, message, spec, params, writer, req_id) -> dict:
+        """Run ``_op_<name>(session, **params)`` on a pooled session under
+        the request's deadline, after streaming the ``start`` event."""
+        work = getattr(self, f"_op_{spec.name}")
+        deadline = params.pop("deadline")
+        if deadline is None:
+            deadline = self.default_deadline
 
         loop = asyncio.get_event_loop()
         async with self._admission:
@@ -590,7 +478,7 @@ class AnalysisServer(JsonLineServer):
             )
             started = time.monotonic()
             job = loop.run_in_executor(
-                self._executor, self._leased, key, session, work, *args
+                self._executor, self._leased, key, session, work, params
             )
             try:
                 result = await asyncio.wait_for(job, timeout=float(deadline))
@@ -621,22 +509,23 @@ class AnalysisServer(JsonLineServer):
         key: tuple,
         session: CircuitSession,
         work: "Callable[..., dict]",
-        *args,
+        params: dict,
     ) -> dict:
         try:
-            return work(session, *args)
+            return work(session, **params)
         finally:
             self.sessions.checkin(key, session)
 
-    def _signoff(
+    def _op_signoff(
         self,
         session: CircuitSession,
         k: "int | None",
         slack: "float | None",
         exact: bool,
-        delays_text: "str | None",
+        delays: "str | None",
         seed: int,
     ) -> dict:
+        """K-longest / above-slack robustly-testable paths (repro.signoff)."""
         from repro.signoff import DEFAULT_K, signoff_core
         from repro.timing.annotate import (
             delays_digest,
@@ -647,19 +536,19 @@ class AnalysisServer(JsonLineServer):
         if k is None and slack is None:
             k = DEFAULT_K
         circuit = session.circuit
-        if delays_text is None:
-            delays = materialize_delays(circuit, None, seed=seed)
+        if delays is None:
+            assignment = materialize_delays(circuit, None, seed=seed)
         else:
             # the wire form must cover every non-PI gate: no silent
             # fallback, so client and server can never disagree
-            delays = materialize_delays(
+            assignment = materialize_delays(
                 circuit,
-                parse_delay_lines(delays_text, source="request"),
+                parse_delay_lines(delays, source="request"),
                 strict=True,
             )
         rows, counters, source = signoff_core(
             circuit,
-            delays,
+            assignment,
             k=k,
             slack=slack,
             exact=exact,
@@ -671,7 +560,9 @@ class AnalysisServer(JsonLineServer):
             "k": k,
             "slack": slack,
             "exact": exact,
-            "delays_digest": delays_digest(delays, canonical=session.canonical),
+            "delays_digest": delays_digest(
+                assignment, canonical=session.canonical
+            ),
             "rows": [row.table_row() for row in rows],
             "counters": counters,
             "source": source,
@@ -679,35 +570,40 @@ class AnalysisServer(JsonLineServer):
             "session": session.stats.to_dict(),
         }
 
-    def _tightness(
+    def _op_tightness(
         self,
         session: CircuitSession,
-        criterion: Criterion,
-        sort_kind: str,
+        criterion: str,
+        sort: str,
         max_accepted: "int | None",
     ) -> dict:
+        """Exact-vs-approximate verdicts for one circuit (repro.verdict)."""
         from repro.verdict import tightness_row
 
         row = tightness_row(
             session.circuit,
-            criterion,
-            sort_kind,
+            _CRITERIA[criterion],
+            sort,
             session=session,
-            max_accepted=max_accepted,
+            max_accepted=self._budget(max_accepted),
         )
         payload = row.to_dict()
         payload["fingerprint"] = session.fingerprint
         payload["session"] = session.stats.to_dict()
         return payload
 
-    def _classify(
+    def _op_classify(
         self,
         session: CircuitSession,
-        criterion: Criterion,
-        sort_kind: str,
+        criterion: str,
+        sort: str,
         max_accepted: "int | None",
-        cones: bool = False,
+        cones: bool,
     ) -> dict:
+        criterion = _CRITERIA[criterion]
+        max_accepted = self._budget(max_accepted)
+        # the sort only shapes a sigma pass
+        sort_kind = sort if criterion is Criterion.SIGMA_PI else None
         if cones:
             # cone granularity: reuse stored cone rows (ECO flow);
             # the sort stays symbolic and is derived per cone
@@ -716,33 +612,31 @@ class AnalysisServer(JsonLineServer):
             report = cone_classify(
                 session.circuit,
                 criterion=criterion,
-                sort=sort_kind if criterion is Criterion.SIGMA_PI else None,
+                sort=sort_kind,
                 max_accepted=max_accepted,
                 store=session.store,
                 session_stats=session.stats,
             )
-            payload = classification_payload(
-                report.result,
-                fingerprint=session.fingerprint,
-                sort_kind=(
-                    sort_kind if criterion is Criterion.SIGMA_PI else None
-                ),
-                session_stats=session.stats.to_dict(),
+            result = report.result
+        else:
+            result = session.classify(
+                criterion,
+                sort=_resolve_sort(session, sort_kind) if sort_kind else None,
+                max_accepted=max_accepted,
             )
-            payload["cone_stats"] = report.reuse_stats()
-            return payload
-        sort = None
-        if criterion is Criterion.SIGMA_PI:
-            sort = _resolve_sort(session, sort_kind)
-        result = session.classify(
-            criterion, sort=sort, max_accepted=max_accepted
-        )
-        return classification_payload(
+        payload = classification_payload(
             result,
             fingerprint=session.fingerprint,
-            sort_kind=sort_kind if sort is not None else None,
+            sort_kind=sort_kind,
             session_stats=session.stats.to_dict(),
         )
+        if cones:
+            payload["cone_stats"] = report.reuse_stats()
+        return payload
+
+    def _budget(self, max_accepted: "int | None") -> "int | None":
+        """A request's ``max_accepted``, or the server's when it has none."""
+        return self.max_accepted if max_accepted is None else max_accepted
 
 
 async def serve(

@@ -15,6 +15,7 @@ The contract under fire:
 All tests here are marked ``chaos``; CI runs them as a separate step.
 """
 
+import dataclasses
 import os
 import signal
 import threading
@@ -24,6 +25,7 @@ import pytest
 
 from repro.errors import RemoteError, ServiceError
 from repro.obs import get_registry
+from repro.service import protocol
 from repro.service.client import RetryPolicy, ServiceClient
 
 from tests.service.fleet_harness import FleetHarness, stable_result
@@ -261,5 +263,52 @@ class TestCoalescingUnderFire:
             reference = stable_result(uncoalesced)
             for outcome in outcomes:
                 assert stable_result(outcome) == reference
+        finally:
+            harness.stop()
+
+
+class TestNonIdempotentOp:
+    def test_a_crash_is_not_retried_when_the_spec_forbids_it(
+        self, tmp_path, monkeypatch
+    ):
+        """The fleet's retry follows ``OpSpec.idempotent``: with the
+        classify spec marked non-idempotent, a worker killed mid-request
+        answers ``TaskCrashed`` after exactly one forward."""
+        spec = protocol.OPS["classify"]
+        monkeypatch.setitem(
+            protocol.OPS, "classify",
+            dataclasses.replace(spec, idempotent=False),
+        )
+        harness = _fast_harness()
+        harness.start(str(tmp_path / "fleet.sock"))
+        try:
+            forwards: list = []
+            forward = harness.server._forward
+
+            async def counted(worker, *args):
+                forwards.append(worker)
+                return await forward(worker, *args)
+
+            harness.server._forward = counted
+            started = threading.Event()
+            homes: list = []
+            outcomes: list = [None]
+
+            def on_event(event):
+                homes.append(event["worker"])
+                started.set()
+
+            thread = _classify_on_thread(
+                harness.address, outcomes, 0,
+                circuit=SLOW_CIRCUIT, on_event=on_event,
+            )
+            assert started.wait(60), "request never started on a worker"
+            os.kill(harness.worker_pid(homes[0]), signal.SIGKILL)
+            thread.join(120)
+            assert not thread.is_alive(), "client hung after worker kill"
+            outcome = outcomes[0]
+            assert isinstance(outcome, RemoteError), repr(outcome)
+            assert outcome.error_type == "TaskCrashed"
+            assert forwards == homes
         finally:
             harness.stop()
