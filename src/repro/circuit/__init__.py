@@ -19,11 +19,7 @@ from repro.circuit.builder import CircuitBuilder
 from repro.circuit.bench import parse_bench, parse_bench_file, write_bench
 from repro.circuit.pla import parse_pla, parse_pla_file, TwoLevelCover
 from repro.circuit.examples import paper_example_circuit
-from repro.circuit.sequential import (
-    ScanCircuit,
-    parse_sequential_bench,
-    parse_sequential_bench_file,
-)
+from repro.circuit.sequential import ScanCircuit, parse_sequential_bench
 from repro.circuit.dot import to_dot
 from repro.circuit import transforms
 
@@ -47,7 +43,6 @@ __all__ = [
     "paper_example_circuit",
     "ScanCircuit",
     "parse_sequential_bench",
-    "parse_sequential_bench_file",
     "to_dot",
     "transforms",
 ]

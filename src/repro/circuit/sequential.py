@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.circuit.bench import BenchParseError, parse_bench, _GATE_RE, _IO_RE
 from repro.circuit.netlist import Circuit
@@ -146,30 +145,6 @@ def parse_sequential_bench(text: str, name: str = "seq") -> ScanCircuit:
         pseudo_po = core.gate_by_name(f"{data}_po")
         flipflops[ff_name] = (pseudo_pi, pseudo_po)
     return ScanCircuit(core=core, flipflops=flipflops)
-
-
-_warned_file_helper = False
-
-
-def parse_sequential_bench_file(path: "str | Path") -> ScanCircuit:
-    """Deprecated: use :func:`repro.loading.load` (``load(path,
-    scan=True)``), the one adapter every surface accepts."""
-    global _warned_file_helper
-    if not _warned_file_helper:
-        _warned_file_helper = True
-        import warnings
-
-        warnings.warn(
-            "parse_sequential_bench_file() is deprecated; use "
-            "repro.api.load(path, scan=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    from repro.loading import load
-
-    scan = load(Path(path), scan=True)
-    assert isinstance(scan, ScanCircuit)
-    return scan
 
 
 #: A small ISCAS-89-style sequential benchmark (s27-like: 4 PIs, 3 FFs,

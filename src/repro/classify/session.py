@@ -16,11 +16,6 @@ share a first-class, reusable artifact instead of per-call scratch:
   shares nothing with the forward pass, but repeated passes with the
   same sort (re-runs, benches, coverage studies) hit the cache.
 
-(A trail-based :class:`~repro.logic.implication.ImplicationEngine` is
-still available lazily via :attr:`CircuitSession.engine` for callers
-that want interactive what-if implications; the classification passes
-themselves run entirely on the bitset kernel.)
-
 Sessions are deliberately cheap to create (all caches are lazy), purely
 per-process (they are *not* sent across the
 :mod:`~repro.experiments.harness` process pool — each worker builds its
@@ -53,7 +48,6 @@ from repro.classify.conditions import Criterion
 from repro.classify.engine import _run, _Tables
 from repro.classify.results import ClassificationResult
 from repro.errors import ClassifyError
-from repro.logic.implication import ImplicationEngine
 from repro.obs import get_registry, span
 from repro.paths.count import PathCounts, count_paths
 
@@ -77,7 +71,6 @@ class SessionStats:
     """
 
     count_paths_calls: int = 0
-    engines_built: int = 0
     tables_built: int = 0
     tables_reused: int = 0
     classify_passes: int = 0
@@ -161,7 +154,6 @@ class CircuitSession:
     stats: SessionStats = field(default_factory=SessionStats)
     store: "ResultStore | str | Path | None" = None
     _counts: PathCounts | None = field(default=None, repr=False)
-    _engine: ImplicationEngine | None = field(default=None, repr=False)
     _tables: dict = field(default_factory=dict, repr=False)
     _canon: "CanonicalForm | None" = field(default=None, repr=False)
 
@@ -259,15 +251,6 @@ class CircuitSession:
                 )
         return self._counts
 
-    @property
-    def engine(self) -> ImplicationEngine:
-        """The shared implication engine (trail empty between passes)."""
-        if self._engine is None:
-            self.stats.bump("engines_built")
-            get_registry().counter("engine.builds").inc()
-            self._engine = ImplicationEngine(self.circuit)
-        return self._engine
-
     def tables(
         self, criterion: Criterion, sort: "InputSort | None" = None
     ) -> _Tables:
@@ -334,12 +317,11 @@ class CircuitSession:
     ) -> ClassificationResult:
         """One classification pass through the session caches.
 
-        Same contract as :func:`repro.classify.classify`; the tables,
-        implication engine and path counts come from (and warm) this
-        session.  A ``max_accepted`` overflow raises
+        Same contract as :func:`repro.classify.classify`; the tables
+        and path counts come from (and warm) this session.  A
+        ``max_accepted`` overflow raises
         :class:`~repro.errors.ClassifyError` (counted in
-        :attr:`SessionStats.budget_aborts`); the session stays usable —
-        the engine trail is restored even on abort.
+        :attr:`SessionStats.budget_aborts`); the session stays usable.
 
         With a persistent :attr:`store`, a completed pass for the same
         circuit structure, criterion and sort is served without running
@@ -350,7 +332,7 @@ class CircuitSession:
         ``cones=True`` switches to cone granularity
         (:func:`repro.incremental.reanalyze.cone_classify`): each output
         cone is classified independently and read through from / written
-        back to the store's schema-v2 cone table, so an edited netlist
+        back to the store's ``kind="cone"`` rows, so an edited netlist
         reuses every untouched cone's rows.  The aggregate
         accepted/total counts decompose exactly; ``max_accepted``
         becomes a per-cone budget, ``elapsed`` sums per-cone CPU time,

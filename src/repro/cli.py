@@ -20,9 +20,7 @@ Run-style subcommands (classify, baseline, compare-sorts, sweep,
 table1/2/3) share one flag family — ``--jobs``, ``--store``,
 ``--checkpoint``, ``--resume``, ``--trace-out``, ``-v`` plus the
 supervision budget/retry knobs — declared once in a parent parser, so
-every command spells every option the same way.  The old spellings
-``--task-timeout`` and ``--max-retries`` still parse as deprecated
-aliases of ``--task-budget`` / ``--retries`` (they warn once).
+every command spells every option the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from repro import loading
@@ -98,27 +95,6 @@ def _make_sort(
 
 # -- shared flag family -----------------------------------------------------
 
-_warned_aliases: set = set()
-
-
-class _DeprecatedAlias(argparse.Action):
-    """An old flag spelling that still parses but warns once per process."""
-
-    def __init__(self, option_strings, dest, preferred="", **kwargs):
-        self.preferred = preferred
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string not in _warned_aliases:
-            _warned_aliases.add(option_string)
-            message = (
-                f"{option_string} is deprecated; use {self.preferred}"
-            )
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            print(f"warning: {message}", file=sys.stderr)
-        setattr(namespace, self.dest, values)
-
-
 def _shared_run_parent() -> argparse.ArgumentParser:
     """The flag family every run-style subcommand accepts (classify,
     baseline, compare-sorts, sweep, table1/2/3)."""
@@ -157,19 +133,9 @@ def _shared_run_parent() -> argparse.ArgumentParser:
         "each circuit's exact path count; jobs > 1 only)",
     )
     g.add_argument(
-        "--task-timeout", dest="task_timeout", type=float,
-        metavar="SECONDS", action=_DeprecatedAlias,
-        preferred="--task-budget", help=argparse.SUPPRESS,
-    )
-    g.add_argument(
         "--retries", dest="max_retries", type=int, default=None,
         metavar="N",
         help="pool retries per task before the in-process rerun",
-    )
-    g.add_argument(
-        "--max-retries", dest="max_retries", type=int, metavar="N",
-        action=_DeprecatedAlias, preferred="--retries",
-        help=argparse.SUPPRESS,
     )
     return parent
 
@@ -785,13 +751,7 @@ def cmd_signoff(args: argparse.Namespace) -> int:
         store=args.store,
         jobs=args.jobs,
     )
-    if args.json:
-        print(to_json(report.to_dict()))
-        return 0
-    print(report.render())
-    if args.verbose:
-        _print_metrics_summary()
-    return 0
+    return _print_signoff(args, report)
 
 
 def _signoff_remote(args: argparse.Namespace) -> int:
@@ -817,10 +777,18 @@ def _signoff_remote(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"remote signoff failed: {exc}", file=sys.stderr)
         return 1
+    return _print_signoff(args, report)
+
+
+def _print_signoff(args: argparse.Namespace, report) -> int:
+    """The output tail of local and remote signoff: JSON or the table,
+    plus the metrics summary for a verbose local run."""
     if args.json:
         print(to_json(report.to_dict()))
-        return 0
-    print(report.render())
+    else:
+        print(report.render())
+        if args.verbose and args.remote is None:
+            _print_metrics_summary()
     return 0
 
 

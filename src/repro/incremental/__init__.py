@@ -11,12 +11,11 @@ layers of that flow:
 * :mod:`repro.incremental.diff` — the CLEAN/DIRTY structural diff of a
   base vs an edited circuit, with per-cone gate deltas;
 * :mod:`repro.incremental.reanalyze` — cone-granularity classification
-  against the schema-v2 cone store and the end-to-end
+  against the result store's ``kind="cone"`` rows and the end-to-end
   ``repro-rd reanalyze`` ECO flow.
 """
 
 from repro.incremental.conefp import (
-    CONE_SCHEMA_VERSION,
     Cone,
     ConeIndex,
     cone_fingerprints,
@@ -32,7 +31,6 @@ from repro.incremental.reanalyze import (
 )
 
 __all__ = [
-    "CONE_SCHEMA_VERSION",
     "Cone",
     "ConeClassifyReport",
     "ConeDelta",

@@ -47,17 +47,16 @@ from typing import Dict, Iterator
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.obs import span
-from repro.store.fingerprint import CONE_SCHEMA_VERSION, _h
+from repro.store.fingerprint import SCHEMA_VERSION, _h
 
 __all__ = [
-    "CONE_SCHEMA_VERSION",
     "Cone",
     "ConeIndex",
     "cone_fingerprints",
     "cone_index",
 ]
 
-_PREFIX = f"rdcfp{CONE_SCHEMA_VERSION}"
+_PREFIX = f"rdcfp{SCHEMA_VERSION}"
 
 #: Gate-type code -> label bytes, indexed by GateType value.
 _TYPE_NAME_BYTES = {t.value: t.name.encode() for t in GateType}

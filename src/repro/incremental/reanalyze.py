@@ -5,7 +5,7 @@ classification pass: every output cone is extracted and classified
 independently (the paper's single-output theory applies cone by cone —
 every PI→PO path lies in exactly one cone, so accepted/total counts sum
 exactly), and each cone's result is read through from — and written
-back to — the schema-v2 cone table of a persistent
+back to — the ``kind="cone"`` rows of a persistent
 :class:`~repro.store.db.ResultStore`, keyed by
 ``(cone fingerprint, criterion, sort, max_accepted)``.
 
@@ -267,8 +267,8 @@ def _dirty_cone_task(payload: tuple) -> tuple:
     ``("budget_abort", message)`` — budget aborts are *results* here so
     the parent can re-raise :class:`ClassifyError` deterministically
     instead of treating them as worker crashes.  A completed result is
-    written back to the cone table before returning; an aborted pass
-    never is.
+    written back to the store as a cone row before returning; an aborted
+    pass never is.
     """
     from repro.classify.session import CircuitSession
 
@@ -299,8 +299,9 @@ def _dirty_cone_task(payload: tuple) -> tuple:
     except ClassifyError as exc:
         return ("budget_abort", str(exc))
     if store_spec is not None:
-        ResultStore(store_spec).cone_put(
+        ResultStore(store_spec).put(
             cone_fp,
+            "cone",
             variant,
             {
                 "total_logical": result.total_logical,
@@ -357,7 +358,7 @@ def cone_classify(
         loaded = None
         if store is not None:
             loaded = _load_cone_payload(
-                store.cone_get(cone.fingerprint, variant), max_accepted
+                store.get(cone.fingerprint, "cone", variant), max_accepted
             )
         if loaded is not None:
             total, accepted, edges, elapsed = loaded

@@ -1,7 +1,7 @@
 """One loading adapter for every analysis surface.
 
 Historically each entry point grew its own loader: the CLI resolved
-suite names and files, ``parse_sequential_bench_file`` handled scan
+suite names and files, a dedicated scan parser handled sequential
 designs, sessions demanded an already-frozen :class:`Circuit`.  This
 module unifies them behind two functions:
 

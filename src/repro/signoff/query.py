@@ -27,6 +27,7 @@ delay recomputed before being served.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
@@ -329,6 +330,75 @@ def _domain_task(payload) -> "tuple[list, dict, str]":
     )
 
 
+# -- the query's front and back halves (shared with signoff_remote) ----
+class _Query(NamedTuple):
+    """A resolved query: what both halves need to know."""
+
+    k: "int | None"
+    slack: "float | None"
+    core: Circuit
+    delays: DelayAssignment
+    domains: list
+    started: float
+
+
+def _prepare_query(
+    source, k, slack, scan, delays, annotations, seed, base
+) -> _Query:
+    """Resolve ``k``/``slack``, load ``source`` (a ``.bench`` path also
+    contributes its ``# delay:`` annotations and ``<stem>.delays``
+    sidecar, sidecar wins), materialize the delays and split the core
+    into capture domains."""
+    from pathlib import Path
+
+    from repro.loading import load
+    from repro.timing.annotate import (
+        parse_delay_annotations,
+        parse_delays_file,
+        sidecar_path,
+    )
+
+    started = time.perf_counter()
+    k, slack = _resolve_query(k, slack)
+    file_annotations: dict = {}
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        if path.suffix == ".bench" and path.exists():
+            file_annotations.update(
+                parse_delay_annotations(path.read_text(), source=str(path))
+            )
+            sidecar = sidecar_path(path)
+            if sidecar.exists():
+                file_annotations.update(parse_delays_file(sidecar))
+    core = load(source, scan=scan).as_core()
+    if delays is None:
+        merged = dict(file_annotations)
+        merged.update(annotations or {})
+        delays = materialize_delays(core, merged, seed=seed, base=base)
+    elif delays.circuit is not core:
+        raise ValueError("delay assignment belongs to a different circuit")
+    return _Query(k, slack, core, delays, domain_circuits(core), started)
+
+
+def _query_report(
+    query: _Query, exact: bool, row_lists: list, counters: dict, sources: dict
+) -> SignoffReport:
+    """Merge the per-domain row lists into the query's report."""
+    return SignoffReport(
+        circuit=query.core.name,
+        mode="k" if query.k is not None else "slack",
+        k=query.k,
+        slack=query.slack,
+        exact=exact,
+        delays_digest=delays_digest(query.delays),
+        domains=tuple(sorted(capture for capture, _c, _m in query.domains)),
+        rows=merge_rows(row_lists, query.k),
+        counters=counters,
+        sources=sources,
+        wall_seconds=time.perf_counter() - query.started,
+    )
+
+
 # -- the public query --------------------------------------------------
 def signoff(
     source,
@@ -357,57 +427,33 @@ def signoff(
     across ``jobs`` processes — and the merged table is byte-identical
     at any job count, matching a whole-core run of :func:`signoff_core`.
     """
-    from pathlib import Path
-
-    from repro.loading import load
-    from repro.timing.annotate import (
-        parse_delay_annotations,
-        parse_delays_file,
-        sidecar_path,
+    query = _prepare_query(
+        source, k, slack, scan, delays, annotations, seed, base
     )
-
-    start = time.perf_counter()
-    k, slack = _resolve_query(k, slack)
-    file_annotations: dict = {}
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".bench" and path.exists():
-            file_annotations.update(
-                parse_delay_annotations(path.read_text(), source=str(path))
-            )
-            sidecar = sidecar_path(path)
-            if sidecar.exists():
-                file_annotations.update(parse_delays_file(sidecar))
-    loaded = load(source, scan=scan)
-    core = loaded.as_core()
-    if delays is None:
-        merged = dict(file_annotations)
-        merged.update(annotations or {})
-        delays = materialize_delays(core, merged, seed=seed, base=base)
-    elif delays.circuit is not core:
-        raise ValueError("delay assignment belongs to a different circuit")
-    digest = delays_digest(delays)
-
-    domains = domain_circuits(core)
     payloads = []
-    for _capture, cone, map_delays in domains:
-        cone_delays = map_delays(delays)
+    for _capture, cone, map_delays in query.domains:
+        cone_delays = map_delays(query.delays)
         payloads.append(
-            (cone, cone_delays.rise, cone_delays.fall, k, slack, exact,
-             store, max_candidates, max_states, max_conflicts)
+            (cone, cone_delays.rise, cone_delays.fall, query.k, query.slack,
+             exact, store, max_candidates, max_states, max_conflicts)
         )
-    labels = [f"{core.name}:signoff[{capture}]" for capture, _c, _m in domains]
+    core = query.core
+    labels = [
+        f"{core.name}:signoff[{capture}]" for capture, _c, _m in query.domains
+    ]
     if runner is None:
         runner = TaskRunner(jobs=jobs)
     registry = get_registry()
     registry.counter("signoff.requests").inc()
-    registry.counter("signoff.domains").inc(len(domains))
-    with span("signoff.query", circuit=core.name, mode="k" if k else "slack"):
+    registry.counter("signoff.domains").inc(len(query.domains))
+    with span(
+        "signoff.query", circuit=core.name, mode="k" if query.k else "slack"
+    ):
         outcomes = runner.map(_domain_task, payloads, labels=labels)
     counters = _zero_counters()
     sources: dict = {}
     row_lists = []
-    for (capture, _cone, _map), outcome in zip(domains, outcomes):
+    for (capture, _cone, _map), outcome in zip(query.domains, outcomes):
         if isinstance(outcome, RowFailure):
             raise SignoffError(
                 f"signoff domain {outcome.label} failed "
@@ -418,19 +464,7 @@ def signoff(
         sources[capture] = domain_source
         for name in _STAGE_COUNTERS:
             counters[name] += domain_counters[name]
-    return SignoffReport(
-        circuit=core.name,
-        mode="k" if k is not None else "slack",
-        k=k,
-        slack=slack,
-        exact=exact,
-        delays_digest=digest,
-        domains=tuple(sorted(capture for capture, _c, _m in domains)),
-        rows=merge_rows(row_lists, k),
-        counters=counters,
-        sources=sources,
-        wall_seconds=time.perf_counter() - start,
-    )
+    return _query_report(query, exact, row_lists, counters, sources)
 
 
 __all__ = [

@@ -20,19 +20,10 @@ that convention, so remote rows are byte-identical to local ones.
 
 from __future__ import annotations
 
-import time
+from repro.timing.annotate import write_delay_annotations
 
-from repro.timing.annotate import (
-    delays_digest,
-    materialize_delays,
-    parse_delay_annotations,
-    parse_delays_file,
-    sidecar_path,
-    write_delay_annotations,
-)
-
-from repro.signoff.query import _resolve_query, domain_circuits
-from repro.signoff.report import SignoffReport, SignoffRow, merge_rows
+from repro.signoff.query import _prepare_query, _query_report
+from repro.signoff.report import SignoffReport, SignoffRow
 
 __all__ = ["signoff_remote"]
 
@@ -61,43 +52,19 @@ def signoff_remote(
     (see the module docstring for the ``.bench`` round-trip caveat).
     ``deadline`` is a per-domain budget in seconds.
     """
-    from pathlib import Path
-
-    from repro.loading import load
-
-    start = time.perf_counter()
-    k, slack = _resolve_query(k, slack)
-    file_annotations: dict = {}
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".bench" and path.exists():
-            file_annotations.update(
-                parse_delay_annotations(path.read_text(), source=str(path))
-            )
-            sidecar = sidecar_path(path)
-            if sidecar.exists():
-                file_annotations.update(parse_delays_file(sidecar))
-    loaded = load(source, scan=scan)
-    core = loaded.as_core()
-    if delays is None:
-        merged = dict(file_annotations)
-        merged.update(annotations or {})
-        delays = materialize_delays(core, merged, seed=seed, base=base)
-    elif delays.circuit is not core:
-        raise ValueError("delay assignment belongs to a different circuit")
-    digest = delays_digest(delays)
-
-    domains = domain_circuits(core)
+    query = _prepare_query(
+        source, k, slack, scan, delays, annotations, seed, base
+    )
     counters: dict = {}
     sources: dict = {}
     row_lists = []
-    for capture, cone, map_delays in domains:
+    for capture, cone, map_delays in query.domains:
         result = client.signoff(
             circuit=cone,
-            k=k,
-            slack=slack,
+            k=query.k,
+            slack=query.slack,
             exact=exact,
-            delays=write_delay_annotations(map_delays(delays)),
+            delays=write_delay_annotations(map_delays(query.delays)),
             deadline=deadline,
             on_event=on_event,
         )
@@ -107,16 +74,4 @@ def signoff_remote(
         sources[capture] = result["source"]
         for name, value in result["counters"].items():
             counters[name] = counters.get(name, 0) + value
-    return SignoffReport(
-        circuit=core.name,
-        mode="k" if k is not None else "slack",
-        k=k,
-        slack=slack,
-        exact=exact,
-        delays_digest=digest,
-        domains=tuple(sorted(capture for capture, _c, _m in domains)),
-        rows=merge_rows(row_lists, k),
-        counters=counters,
-        sources=sources,
-        wall_seconds=time.perf_counter() - start,
-    )
+    return _query_report(query, exact, row_lists, counters, sources)

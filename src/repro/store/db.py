@@ -11,7 +11,12 @@ kind           variant                                        payload
 ``sort``       ``heu1`` / ``heu2``                            rank array, canonical lead order
 ``tightness``  ``<schema>|<CRITERION>|<sort>|<budget>``       exact-vs-approximate verdict counts per circuit
 ``signoff``    ``<schema>|<delay digest>|k=N`` / ``slack=T``  accepted robust-path set as canonical lead positions
+``cone``       ``<CRITERION>|<sort>|<budget>``                one output cone's total/accepted/edges/elapsed
 =============  =============================================  ============
+
+A ``cone`` row is keyed by the *cone* fingerprint (``rdcfp1:``, see
+:mod:`repro.incremental.conefp`) rather than a whole-circuit one, so an
+edited netlist reuses every untouched cone's rows.
 
 Every row is stamped with :data:`~repro.store.fingerprint.SCHEMA_VERSION`;
 reads only ever see rows of the *current* schema, so a payload-format or
@@ -40,17 +45,15 @@ from pathlib import Path
 
 from repro.errors import StoreError
 from repro.obs import get_registry
-from repro.store.fingerprint import CONE_SCHEMA_VERSION, SCHEMA_VERSION
+from repro.store.fingerprint import SCHEMA_VERSION
 
 __all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]
 
-#: On-disk layout version, stamped into ``PRAGMA user_version``.  v2
-#: adds the cone-level ``cone_entries`` table.  A v1 file (created
-#: before cone support) still opens cleanly — whole-circuit entries work
-#: exactly as before and the cone API degrades to always-miss/no-op
-#: (:attr:`ResultStore.supports_cones` is ``False``) until the file is
-#: ``clear``-ed, which upgrades it.
-STORE_FORMAT_VERSION = 2
+#: On-disk layout version, stamped into ``PRAGMA user_version``.  v3
+#: keeps cone rows in ``entries`` as ``kind="cone"``; opening a v1 file
+#: (no cone rows) or a v2 file (cone rows in a second table) migrates it
+#: in place.
+STORE_FORMAT_VERSION = 3
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS entries (
@@ -63,23 +66,6 @@ CREATE TABLE IF NOT EXISTS entries (
     last_used   REAL NOT NULL,
     hits        INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (fingerprint, kind, variant, schema)
-)
-"""
-
-#: Cone-granularity results (schema v2): keyed by the *cone* fingerprint
-#: (``rdcfp1:``) plus the classification variant — criterion, sort and
-#: acceptance budget — so an edited netlist reuses every untouched
-#: cone's rows.
-_CONE_SCHEMA_SQL = """
-CREATE TABLE IF NOT EXISTS cone_entries (
-    cone_fp     TEXT NOT NULL,
-    variant     TEXT NOT NULL,
-    schema      INTEGER NOT NULL,
-    payload     TEXT NOT NULL,
-    created     REAL NOT NULL,
-    last_used   REAL NOT NULL,
-    hits        INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (cone_fp, variant, schema)
 )
 """
 
@@ -98,9 +84,9 @@ def _is_locked(exc: sqlite3.OperationalError) -> bool:
 class StoreStats:
     """A snapshot of one store file, for ``repro-rd cache stats``.
 
-    ``entries``/``by_kind`` count the whole-circuit table; the cone-level
-    table (schema v2) is broken out separately so cache pressure from
-    fine-grained ECO rows is visible at a glance.
+    ``entries``/``by_kind`` count the whole-circuit rows; ``kind="cone"``
+    rows are broken out separately so cache pressure from fine-grained
+    ECO rows is visible at a glance.
     """
 
     path: str
@@ -114,20 +100,11 @@ class StoreStats:
     cone_stale: int = 0
     cone_hits: int = 0
     cone_payload_bytes: int = 0
-    supports_cones: bool = True
 
     def render(self) -> str:
         kinds = ", ".join(
             f"{kind}={count}" for kind, count in sorted(self.by_kind.items())
         )
-        if self.supports_cones:
-            cone_line = (
-                f"cone:    {self.cone_entries} entries, "
-                f"{self.cone_payload_bytes:,} payload bytes, "
-                f"{self.cone_hits} hits"
-            )
-        else:
-            cone_line = "cone:    disabled (schema v1 store; `cache clear` upgrades)"
         return "\n".join(
             [
                 f"store:   {self.path}",
@@ -135,12 +112,14 @@ class StoreStats:
                 f"whole:   {self.entries} entries, "
                 f"{self.whole_payload_bytes:,} payload bytes, "
                 f"{self.total_hits} hits",
-                cone_line,
+                f"cone:    {self.cone_entries} entries, "
+                f"{self.cone_payload_bytes:,} payload bytes, "
+                f"{self.cone_hits} hits",
                 f"stale:   {self.stale_entries + self.cone_stale} "
                 "(other schema versions)",
                 f"hits:    {self.total_hits + self.cone_hits}",
                 f"size:    {self.size_bytes:,} bytes",
-                f"schema:  {SCHEMA_VERSION} (cone {CONE_SCHEMA_VERSION})",
+                f"schema:  {SCHEMA_VERSION}",
             ]
         )
 
@@ -159,7 +138,6 @@ class ResultStore:
         self._local_conn: "sqlite3.Connection | None" = None
         self._pid = -1
         self._lock = threading.Lock()
-        self._cone_ok = False  # set by _connect
 
     # -- connection management -----------------------------------------
     def _connect(self) -> sqlite3.Connection:
@@ -172,51 +150,29 @@ class ResultStore:
             )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            # a pre-cone (v1) file keeps working with cone features off;
-            # anything newer (or fresh) gets the cone table and the v2 stamp
-            tables = {
-                row[0]
-                for row in conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type='table'"
-                )
-            }
-            version = conn.execute("PRAGMA user_version").fetchone()[0]
-            legacy_v1 = (
-                "entries" in tables
-                and "cone_entries" not in tables
-                and version < STORE_FORMAT_VERSION
-            )
-            conn.execute(_SCHEMA_SQL)
-            if not legacy_v1:
-                conn.execute(_CONE_SCHEMA_SQL)
-                if version < STORE_FORMAT_VERSION:
-                    conn.execute(f"PRAGMA user_version={STORE_FORMAT_VERSION:d}")
-            self._cone_ok = not legacy_v1
+            if conn.execute("PRAGMA user_version").fetchone()[0] < (
+                STORE_FORMAT_VERSION
+            ):
+                _migrate(conn)
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open result store {self.path!r}: {exc}")
         return conn
 
     @property
-    def supports_cones(self) -> bool:
-        """Whether this file has the cone-level table (schema v2).  A v1
-        store answers ``False`` and the cone API degrades gracefully:
-        every ``cone_get`` misses, every ``cone_put`` is a no-op."""
-        self._conn  # noqa: B018 - connect (and detect the layout) lazily
-        return self._cone_ok
-
-    @property
     def _conn(self) -> sqlite3.Connection:
-        # reopen after fork: SQLite connections must not cross processes
+        # callers hold self._lock, so two threads never both connect (and
+        # migrate); reopen after fork: connections must not cross processes
         if self._local_conn is None or self._pid != os.getpid():
             self._local_conn = self._connect()
             self._pid = os.getpid()
         return self._local_conn
 
     def close(self) -> None:
-        if self._local_conn is not None and self._pid == os.getpid():
-            self._local_conn.close()
-        self._local_conn = None
-        self._pid = -1
+        with self._lock:
+            if self._local_conn is not None and self._pid == os.getpid():
+                self._local_conn.close()
+            self._local_conn = None
+            self._pid = -1
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -252,7 +208,9 @@ class ResultStore:
         version, or ``None``.  An undecodable payload is deleted and
         reported as a miss (never served, never fatal)."""
         registry = get_registry()
-        registry.counter("store.gets").inc()
+        # cone rows keep their own store.cone_* counters
+        counter = "store.cone_" if kind == "cone" else "store."
+        registry.counter(counter + "gets").inc()
         started = time.perf_counter()
         row = self._execute(
             "SELECT payload FROM entries WHERE fingerprint=? AND kind=? "
@@ -260,7 +218,7 @@ class ResultStore:
             (fingerprint, kind, variant, SCHEMA_VERSION),
         ).fetchone()
         if row is None:
-            registry.counter("store.misses").inc()
+            registry.counter(counter + "misses").inc()
             registry.histogram("store.get_seconds").observe(
                 time.perf_counter() - started
             )
@@ -271,7 +229,7 @@ class ResultStore:
                 raise ValueError("payload is not an object")
         except (ValueError, TypeError):
             registry.counter("store.corrupt_entries").inc()
-            registry.counter("store.misses").inc()
+            registry.counter(counter + "misses").inc()
             self.delete(fingerprint, kind, variant)
             return None
         self._execute(
@@ -279,7 +237,7 @@ class ResultStore:
             "AND kind=? AND variant=? AND schema=?",
             (time.time(), fingerprint, kind, variant, SCHEMA_VERSION),
         )
-        registry.counter("store.hits").inc()
+        registry.counter(counter + "hits").inc()
         registry.histogram("store.get_seconds").observe(
             time.perf_counter() - started
         )
@@ -288,7 +246,8 @@ class ResultStore:
     def put(self, fingerprint: str, kind: str, variant: str, payload: dict) -> None:
         """Insert or replace one entry (stamped with the current schema)."""
         registry = get_registry()
-        registry.counter("store.puts").inc()
+        counter = "store.cone_" if kind == "cone" else "store."
+        registry.counter(counter + "puts").inc()
         started = time.perf_counter()
         now = time.time()
         self._execute(
@@ -315,107 +274,28 @@ class ResultStore:
             (fingerprint, kind, variant),
         )
 
-    # -- the cone-granularity API (schema v2) --------------------------
-    def cone_get(self, cone_fp: str, variant: str) -> "dict | None":
-        """The cone-level payload under ``(cone_fp, variant)`` at the
-        current cone schema version, or ``None``.  Same never-wrong
-        contract as :meth:`get`; on a v1 store this is always a miss."""
-        registry = get_registry()
-        registry.counter("store.cone_gets").inc()
-        if not self.supports_cones:
-            registry.counter("store.cone_misses").inc()
-            return None
-        row = self._execute(
-            "SELECT payload FROM cone_entries WHERE cone_fp=? AND variant=? "
-            "AND schema=?",
-            (cone_fp, variant, CONE_SCHEMA_VERSION),
-        ).fetchone()
-        if row is None:
-            registry.counter("store.cone_misses").inc()
-            return None
-        try:
-            payload = json.loads(row[0])
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
-        except (ValueError, TypeError):
-            registry.counter("store.corrupt_entries").inc()
-            registry.counter("store.cone_misses").inc()
-            self.cone_delete(cone_fp, variant)
-            return None
-        self._execute(
-            "UPDATE cone_entries SET hits=hits+1, last_used=? WHERE cone_fp=? "
-            "AND variant=? AND schema=?",
-            (time.time(), cone_fp, variant, CONE_SCHEMA_VERSION),
-        )
-        registry.counter("store.cone_hits").inc()
-        return payload
-
-    def cone_put(self, cone_fp: str, variant: str, payload: dict) -> None:
-        """Insert or replace one cone-level entry (no-op on a v1 store)."""
-        if not self.supports_cones:
-            return
-        get_registry().counter("store.cone_puts").inc()
-        now = time.time()
-        self._execute(
-            "INSERT OR REPLACE INTO cone_entries "
-            "(cone_fp, variant, schema, payload, created, last_used, hits) "
-            "VALUES (?, ?, ?, ?, ?, ?, 0)",
-            (
-                cone_fp,
-                variant,
-                CONE_SCHEMA_VERSION,
-                json.dumps(payload, sort_keys=True, separators=(",", ":")),
-                now,
-                now,
-            ),
-        )
-
-    def cone_delete(self, cone_fp: str, variant: str) -> None:
-        if not self.supports_cones:
-            return
-        self._execute(
-            "DELETE FROM cone_entries WHERE cone_fp=? AND variant=?",
-            (cone_fp, variant),
-        )
-
     # -- maintenance (the ``repro-rd cache`` subcommand) ----------------
     def stats(self) -> StoreStats:
         by_kind: "dict[str, int]" = {}
-        for kind, count in self._execute(
-            "SELECT kind, COUNT(*) FROM entries WHERE schema=? GROUP BY kind",
+        hits = whole_bytes = 0
+        cones = cone_hits = cone_bytes = 0
+        for kind, count, kind_hits, kind_bytes in self._execute(
+            "SELECT kind, COUNT(*), COALESCE(SUM(hits), 0), "
+            "COALESCE(SUM(LENGTH(payload)), 0) FROM entries WHERE schema=? "
+            "GROUP BY kind",
             (SCHEMA_VERSION,),
         ).fetchall():
-            by_kind[kind] = count
-        stale = self._execute(
-            "SELECT COUNT(*) FROM entries WHERE schema != ?", (SCHEMA_VERSION,)
-        ).fetchone()[0]
-        hits = self._execute(
-            "SELECT COALESCE(SUM(hits), 0) FROM entries WHERE schema=?",
+            if kind == "cone":
+                cones, cone_hits, cone_bytes = count, kind_hits, kind_bytes
+            else:
+                by_kind[kind] = count
+                hits += kind_hits
+                whole_bytes += kind_bytes
+        stale, cone_stale = self._execute(
+            "SELECT COUNT(*), COALESCE(SUM(kind='cone'), 0) FROM entries "
+            "WHERE schema != ?",
             (SCHEMA_VERSION,),
-        ).fetchone()[0]
-        whole_bytes = self._execute(
-            "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM entries WHERE schema=?",
-            (SCHEMA_VERSION,),
-        ).fetchone()[0]
-        cone_entries = cone_stale = cone_hits = cone_bytes = 0
-        if self.supports_cones:
-            cone_entries = self._execute(
-                "SELECT COUNT(*) FROM cone_entries WHERE schema=?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
-            cone_stale = self._execute(
-                "SELECT COUNT(*) FROM cone_entries WHERE schema != ?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
-            cone_hits = self._execute(
-                "SELECT COALESCE(SUM(hits), 0) FROM cone_entries WHERE schema=?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
-            cone_bytes = self._execute(
-                "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM cone_entries "
-                "WHERE schema=?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
+        ).fetchone()
         try:
             size = os.path.getsize(self.path)
         except OSError:
@@ -424,58 +304,75 @@ class ResultStore:
             path=self.path,
             entries=sum(by_kind.values()),
             by_kind=by_kind,
-            stale_entries=stale,
+            stale_entries=stale - cone_stale,
             total_hits=hits,
             size_bytes=size,
             whole_payload_bytes=whole_bytes,
-            cone_entries=cone_entries,
+            cone_entries=cones,
             cone_stale=cone_stale,
             cone_hits=cone_hits,
             cone_payload_bytes=cone_bytes,
-            supports_cones=self.supports_cones,
         )
 
     def gc(self, max_age_days: "float | None" = None) -> int:
-        """Reclaim stale rows: every other-schema entry (in both tables),
-        plus (when ``max_age_days`` is given) entries not used for that
-        long.  Returns the number of rows removed."""
+        """Reclaim stale rows: every other-schema entry, plus (when
+        ``max_age_days`` is given) entries not used for that long.
+        Returns the number of rows removed."""
         removed = self._execute(
             "DELETE FROM entries WHERE schema != ?", (SCHEMA_VERSION,)
         ).rowcount
-        if self.supports_cones:
-            removed += self._execute(
-                "DELETE FROM cone_entries WHERE schema != ?",
-                (CONE_SCHEMA_VERSION,),
-            ).rowcount
         if max_age_days is not None:
             cutoff = time.time() - max_age_days * 86400.0
             removed += self._execute(
                 "DELETE FROM entries WHERE last_used < ?", (cutoff,)
             ).rowcount
-            if self.supports_cones:
-                removed += self._execute(
-                    "DELETE FROM cone_entries WHERE last_used < ?", (cutoff,)
-                ).rowcount
         self._execute("VACUUM")
         return removed
 
     def clear(self) -> int:
-        """Drop every entry (all schema versions, both tables).  Returns
-        the count.  Clearing a v1 store also upgrades it to the current
-        layout (the cone table is created and the file stamped v2)."""
+        """Drop every entry (all schema versions).  Returns the count."""
         removed = self._execute("DELETE FROM entries").rowcount
-        if self.supports_cones:
-            removed += self._execute("DELETE FROM cone_entries").rowcount
-        else:
-            self._execute(_CONE_SCHEMA_SQL)
-            self._execute(f"PRAGMA user_version={STORE_FORMAT_VERSION:d}")
-            self._cone_ok = True
         self._execute("VACUUM")
         return removed
 
     def __repr__(self) -> str:
         return f"ResultStore({self.path!r})"
 
+
+def _migrate(conn: sqlite3.Connection) -> None:
+    """Bring a fresh, v1 or v2 file to :data:`STORE_FORMAT_VERSION`.
+
+    Runs from :meth:`ResultStore._connect`, under the store's lock.  The
+    version is re-read inside a write transaction, so when several
+    processes open one old file at once exactly one of them migrates.
+    A v2 file's ``cone_entries`` rows move into ``entries`` as
+    ``kind="cone"`` with their payload, hits and timestamps intact.
+    """
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        stale = conn.execute("PRAGMA user_version").fetchone()[0] < (
+            STORE_FORMAT_VERSION
+        )
+        if stale:
+            conn.execute(_SCHEMA_SQL)
+            if conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type='table' "
+                "AND name='cone_entries'"
+            ).fetchone():
+                conn.execute(
+                    "INSERT OR IGNORE INTO entries SELECT cone_fp, 'cone', "
+                    "variant, schema, payload, created, last_used, hits "
+                    "FROM cone_entries"
+                )
+                conn.execute("DROP TABLE cone_entries")
+            conn.execute(f"PRAGMA user_version={STORE_FORMAT_VERSION:d}")
+        conn.execute("COMMIT")
+    except BaseException:
+        if conn.in_transaction:
+            conn.execute("ROLLBACK")
+        raise
+    if stale:
+        get_registry().counter("store.migrations").inc()
 
 def as_store(store: "ResultStore | str | Path | None") -> "ResultStore | None":
     """Normalize a ``store=`` argument (path or instance or None)."""

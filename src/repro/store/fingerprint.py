@@ -53,24 +53,17 @@ from repro.circuit.netlist import Circuit
 _TYPE_NAME_BYTES = {t.value: t.name.encode() for t in GateType}
 
 __all__ = [
-    "CONE_SCHEMA_VERSION",
     "SCHEMA_VERSION",
     "CanonicalForm",
     "canonical_form",
     "fingerprint",
 ]
 
-#: Version of the fingerprint algorithm *and* of every store payload
-#: format.  Bump on any incompatible change; old entries become
+#: Version of the fingerprint algorithms (whole-circuit ``rdfp`` and
+#: cone ``rdcfp``, :mod:`repro.incremental.conefp`) *and* of every store
+#: payload format.  Bump on any incompatible change; old entries become
 #: invisible rather than wrong.
 SCHEMA_VERSION = 1
-
-#: Version of the *cone* fingerprint algorithm
-#: (:mod:`repro.incremental.conefp`) and of every cone-level store
-#: payload.  Versioned independently of :data:`SCHEMA_VERSION`: the two
-#: encodings can evolve separately without invalidating each other's
-#: rows.
-CONE_SCHEMA_VERSION = 1
 
 _PREFIX = f"rdfp{SCHEMA_VERSION}"
 

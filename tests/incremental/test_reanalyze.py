@@ -98,7 +98,8 @@ class TestConeClassify:
         conn = sqlite3.connect(store.path)
         try:
             budget_rows = conn.execute(
-                "SELECT COUNT(*) FROM cone_entries WHERE variant LIKE '%|0'"
+                "SELECT COUNT(*) FROM entries WHERE kind='cone' "
+                "AND variant LIKE '%|0'"
             ).fetchone()[0]
         finally:
             conn.close()
@@ -150,8 +151,8 @@ class TestStoreResilience:
         conn = sqlite3.connect(store.path)
         try:
             conn.execute(
-                "UPDATE cone_entries SET payload='{not json' "
-                "WHERE rowid=(SELECT MIN(rowid) FROM cone_entries)"
+                "UPDATE entries SET payload='{not json' WHERE rowid="
+                "(SELECT MIN(rowid) FROM entries WHERE kind='cone')"
             )
             conn.commit()
         finally:
@@ -163,7 +164,7 @@ class TestStoreResilience:
         final = cone_classify(c, Criterion.FS, store=store)
         assert final.cones_reused == final.cones_total
 
-    def test_legacy_v1_store_degrades_gracefully(self, tmp_path):
+    def test_legacy_v1_store_migrates_on_open(self, tmp_path):
         path = tmp_path / "v1.sqlite"
         conn = sqlite3.connect(path)
         conn.execute(
@@ -177,33 +178,21 @@ class TestStoreResilience:
         conn.commit()
         conn.close()
         with ResultStore(path) as legacy:
-            assert not legacy.supports_cones
-            # cone API degrades: put is a no-op, get always misses
-            legacy.cone_put("rdcfp1:x", "FS|none|-", {"total_logical": 1})
-            assert legacy.cone_get("rdcfp1:x", "FS|none|-") is None
-            # cone_classify still answers, it just never reuses
+            # cone rows work at once: the second run reuses every cone
             c = get_circuit("c17")
             first = cone_classify(c, Criterion.FS, store=legacy)
             second = cone_classify(c, Criterion.FS, store=legacy)
-            assert first.cones_reused == 0 and second.cones_reused == 0
+            assert first.cones_reused == 0
+            assert second.cones_reused == len(c.outputs)
             assert second.table_bytes() == first.table_bytes()
-            # whole-circuit entries still work on the v1 file
+            # whole-circuit entries still work on the migrated file
             session = CircuitSession(c, store=legacy)
             session.classify(Criterion.FS)
             session.classify(Criterion.FS)
             assert session.stats.store_hits >= 1
             stats = legacy.stats()
-            assert not stats.supports_cones
-            assert "disabled" in stats.render()
-            # clear() upgrades the file to v2 in place
-            legacy.clear()
-            assert legacy.supports_cones
-            assert cone_classify(
-                c, Criterion.FS, store=legacy
-            ).cones_reused == 0
-            assert cone_classify(
-                c, Criterion.FS, store=legacy
-            ).cones_reused == len(c.outputs)
+            assert stats.cone_entries == len(c.outputs)
+            assert "disabled" not in stats.render()
         conn = sqlite3.connect(path)
         try:
             version = conn.execute("PRAGMA user_version").fetchone()[0]
@@ -227,8 +216,8 @@ class TestStoreResilience:
         conn = sqlite3.connect(store.path)
         try:
             conn.execute(
-                "INSERT INTO cone_entries VALUES "
-                "('rdcfp1:dead', 'FS|none|-', 999, '{}', 0.0, 0.0, 0)"
+                "INSERT INTO entries VALUES "
+                "('rdcfp1:dead', 'cone', 'FS|none|-', 999, '{}', 0.0, 0.0, 0)"
             )
             conn.commit()
         finally:

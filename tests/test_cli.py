@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-import repro.cli as cli
 from repro.cli import build_parser, load_circuit, main
 
 
@@ -164,8 +163,8 @@ class TestSupervisionFlags:
                 "--jobs", "4",
                 "--checkpoint", "rows.jsonl",
                 "--resume",
-                "--task-timeout", "90",
-                "--max-retries", "5",
+                "--task-budget", "90",
+                "--retries", "5",
             ]
         )
         assert args.jobs == 4
@@ -230,24 +229,6 @@ class TestSharedFlagFamily:
         assert args.verbose
         assert args.task_timeout == 9.0
         assert args.max_retries == 2
-
-    def test_deprecated_aliases_still_parse(self, monkeypatch):
-        monkeypatch.setattr(cli, "_warned_aliases", set())
-        with pytest.warns(DeprecationWarning, match="--task-budget"):
-            args = build_parser().parse_args(
-                ["table1", "--task-timeout", "30"]
-            )
-        assert args.task_timeout == 30.0
-        with pytest.warns(DeprecationWarning, match="--retries"):
-            args = build_parser().parse_args(["table1", "--max-retries", "2"])
-        assert args.max_retries == 2
-
-    def test_deprecated_alias_warns_once_per_process(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_warned_aliases", set())
-        parser = build_parser()
-        parser.parse_args(["table1", "--task-timeout", "1"])
-        parser.parse_args(["table1", "--task-timeout", "2"])
-        assert capsys.readouterr().err.count("deprecated") == 1
 
 
 class TestJsonOutputs:

@@ -114,15 +114,3 @@ class TestEverySurfaceAcceptsEverySource:
             load(seq_path)
             as_core(seq_path)
             CircuitSession(str(seq_path))
-
-    def test_old_helper_warns_once_and_still_works(self, seq_path):
-        import repro.circuit.sequential as seq_module
-        from repro.circuit.sequential import parse_sequential_bench_file
-
-        seq_module._warned_file_helper = False
-        with pytest.warns(DeprecationWarning, match="repro.api.load"):
-            first = parse_sequential_bench_file(seq_path)
-        assert isinstance(first, ScanCircuit)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            parse_sequential_bench_file(seq_path)  # second call: silent
