@@ -428,19 +428,17 @@ class CircuitSession:
     def record_sort(self, name: str, sort: "InputSort") -> None:
         """Write a derived heuristic sort back to the persistent store
         (no-op without one)."""
-        if self.store is not None:
-            self._store_put(
-                "sort", name, {"ranks": self.canonical.pack_leads(sort.ranks)}
-            )
+        self._store_put(
+            "sort", name, {"ranks": self.canonical.pack_leads(sort.ranks)}
+        )
 
     def heuristic1_sort(self) -> "InputSort":
         """Heuristic 1 from the cached path counts (no extra counting)."""
         from repro.sorting.heuristics import heuristic1_sort
 
-        if self.store is not None:
-            cached = self._store_get("sort", "heu1", self._load_sort)
-            if cached is not None:
-                return cached
+        cached = self._store_get("sort", "heu1", self._load_sort)
+        if cached is not None:
+            return cached
         sort = heuristic1_sort(self.circuit, counts=self.counts)
         self.record_sort("heu1", sort)
         return sort
@@ -456,8 +454,31 @@ class CircuitSession:
         )
 
     def heuristic2_sort(self, max_accepted: int | None = None) -> "InputSort":
-        if self.store is not None:
+        """Heuristic 2; a budget also bounds its FS/NR passes.  Only an
+        unbudgeted call serves the stored ``sort/heu2`` entry: under a
+        budget the passes come from stored ``classify`` entries that fit
+        it, so an over-budget FS^sup aborts cold and warm alike."""
+        if max_accepted is None:
             cached = self._store_get("sort", "heu2", self._load_sort)
             if cached is not None:
                 return cached
         return self.heuristic2_analysis(max_accepted=max_accepted).sort
+
+    def sort(self, kind: str, max_accepted: int | None = None) -> "InputSort":
+        """The named sort: ``pin``, ``heu1``, ``heu2`` or ``heu2inv``.
+
+        ``max_accepted`` bounds the Heu2 FS and NR passes, FS first: the
+        supersets keep Lemma 1's order NR ⊆ LP(σ^π) ⊆ FS, so a completed
+        budgeted FS pass leaves no later pass room to overflow."""
+        from repro.sorting.input_sort import InputSort
+
+        if kind == "pin":
+            return InputSort.pin_order(self.circuit)
+        if kind == "heu1":
+            return self.heuristic1_sort()
+        if kind not in ("heu2", "heu2inv"):
+            raise ValueError(
+                f"unknown sort {kind!r}; valid: pin, heu1, heu2, heu2inv"
+            )
+        sort = self.heuristic2_sort(max_accepted)
+        return sort.inverted() if kind == "heu2inv" else sort

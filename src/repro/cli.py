@@ -38,12 +38,7 @@ from repro.classify.conditions import Criterion
 from repro.classify.session import CircuitSession
 from repro.gen.suite import SUITE
 from repro.obs import export_jsonl, format_metrics, get_registry
-from repro.sorting.heuristics import (
-    heuristic1_sort,
-    heuristic2_sort,
-    pin_order_sort,
-    random_sort,
-)
+from repro.sorting.heuristics import random_sort
 from repro.util.serialize import classification_payload, info_payload, to_json
 
 _CRITERIA = {
@@ -73,24 +68,19 @@ def load_circuit(spec: str) -> Circuit:
     return loading.as_core(spec)
 
 
-def _make_sort(
-    circuit: Circuit, kind: str, seed: int,
-    session: "CircuitSession | None" = None,
-):
-    """Build a named sort, reusing ``session`` caches for the heuristic
-    sorts (the heu2 variants cost two classification passes)."""
-    if kind == "pin":
-        return pin_order_sort(circuit)
-    if kind == "heu1":
-        counts = session.counts if session is not None else None
-        return heuristic1_sort(circuit, counts=counts)
-    if kind == "heu2":
-        return heuristic2_sort(circuit, session=session)
-    if kind == "heu2inv":
-        return heuristic2_sort(circuit, session=session).inverted()
+def _make_sort(session: CircuitSession, kind: str, seed: int, max_accepted=None):
+    """A named sort: ``random`` here, every other kind through
+    :meth:`CircuitSession.sort` (store-cached, budget-aware)."""
     if kind == "random":
-        return random_sort(circuit, seed=seed)
-    raise ValueError(f"unknown sort {kind!r}")
+        return random_sort(session.circuit, seed=seed)
+    return session.sort(kind, max_accepted)
+
+
+#: ``--max-accepted`` help of the commands that classify with a named sort
+_MAX_ACCEPTED_HELP = (
+    "abort after this many accepted paths in any pass, Heuristic 2's "
+    "FS/NR sort passes included"
+)
 
 
 # -- shared flag family -----------------------------------------------------
@@ -213,7 +203,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         session = CircuitSession(circuit, store=args.store)
         sort = None
         if criterion is Criterion.SIGMA_PI:
-            sort = _make_sort(circuit, args.sort, args.seed, session=session)
+            sort = _make_sort(session, args.sort, args.seed, args.max_accepted)
             sort_used = args.sort
         result = session.classify(
             criterion, sort=sort, max_accepted=args.max_accepted
@@ -309,7 +299,7 @@ def cmd_compare_sorts(args: argparse.Namespace) -> int:
     kinds = [kind.strip() for kind in args.sorts.split(",") if kind.strip()]
     session = CircuitSession(circuit)
     sorts = {
-        kind: _make_sort(circuit, kind, args.seed, session=session)
+        kind: _make_sort(session, kind, args.seed)
         for kind in kinds
     }
     estimates = compare_sorts(
@@ -417,7 +407,7 @@ def cmd_testgen(args: argparse.Namespace) -> int:
 
     circuit = load_circuit(args.circuit)
     session = CircuitSession(circuit)
-    sort = _make_sort(circuit, args.sort, 0, session=session)
+    sort = _make_sort(session, args.sort, 0, args.max_accepted)
     must_test: list = []
     result = session.classify(
         Criterion.SIGMA_PI, sort=sort,
@@ -452,7 +442,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
     circuit = load_circuit(args.circuit)
     session = CircuitSession(circuit)
-    sort = _make_sort(circuit, args.sort, 0, session=session)
+    sort = _make_sort(session, args.sort, 0, args.max_accepted)
     must_test: set = set()
     session.classify(
         Criterion.SIGMA_PI, sort=sort,
@@ -891,8 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="seed for --sort random")
     p.add_argument(
-        "--max-accepted", type=int, default=None,
-        help="abort after this many accepted paths",
+        "--max-accepted", type=int, default=None, help=_MAX_ACCEPTED_HELP,
     )
     p.add_argument(
         "--remote", metavar="HOST:PORT|SOCKET", default=None,
@@ -951,7 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--limit", type=int, default=20,
                    help="max paths to print tests for")
-    p.add_argument("--max-accepted", type=int, default=100_000)
+    p.add_argument("--max-accepted", type=int, default=100_000,
+                   help=_MAX_ACCEPTED_HELP)
     p.set_defaults(fn=cmd_testgen)
 
     p = sub.add_parser(
@@ -964,7 +954,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", choices=["pin", "heu1", "heu2", "heu2inv", "random"],
         default="heu2",
     )
-    p.add_argument("--max-accepted", type=int, default=100_000)
+    p.add_argument("--max-accepted", type=int, default=100_000,
+                   help=_MAX_ACCEPTED_HELP)
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("sta", help="static timing + k slowest paths")
@@ -1028,7 +1019,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-accepted", type=int, default=None,
-        help="server-wide abort threshold on accepted paths",
+        help="server-wide abort threshold on accepted paths, also "
+        "bounding Heuristic 2's FS/NR sort passes",
     )
     p.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
@@ -1078,7 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-accepted", type=int, default=None,
-        help="per-cone acceptance budget (part of the cone store key)",
+        help="per-cone acceptance budget, also bounding each cone's "
+        "Heuristic 2 FS/NR sort passes (part of the cone store key)",
     )
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(fn=cmd_reanalyze)
@@ -1107,8 +1100,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-accepted", type=int, default=50_000, metavar="N",
-        help="SKIP circuits whose classifier accepts more paths than "
-        "this (bounds SAT queries per circuit; default 50000)",
+        help="SKIP circuits where any classifier pass, Heuristic 2's "
+        "FS/NR sort passes included, accepts more paths than this "
+        "(bounds SAT queries per circuit; default 50000)",
     )
     p.add_argument(
         "--remote", metavar="HOST:PORT|SOCKET", default=None,

@@ -285,16 +285,14 @@ def _dirty_cone_task(payload: tuple) -> tuple:
     ) = payload
     cone_circuit, _mapping = circuit.extract_cone(po)
     session = CircuitSession(cone_circuit)
-    sort = None
-    if ranks is not None:
-        from repro.sorting.input_sort import InputSort
-
-        sort = InputSort(cone_circuit, ranks)
-    elif sort_spec == "heu1":
-        sort = session.heuristic1_sort()
-    elif sort_spec == "heu2":
-        sort = session.heuristic2_sort(max_accepted=max_accepted)
     try:
+        sort = None
+        if ranks is not None:
+            from repro.sorting.input_sort import InputSort
+
+            sort = InputSort(cone_circuit, ranks)
+        elif criterion.needs_sort:
+            sort = session.sort(sort_spec or "pin", max_accepted)
         result = session.classify(criterion, sort=sort, max_accepted=max_accepted)
     except ClassifyError as exc:
         return ("budget_abort", str(exc))

@@ -49,7 +49,6 @@ from repro.gen.suite import get_circuit
 from repro.obs import get_registry, span
 from repro.service import protocol
 from repro.service.protocol import request_key
-from repro.sorting.heuristics import pin_order_sort
 from repro.store.db import ResultStore, as_store
 from repro.store.fingerprint import canonical_form
 from repro.util.serialize import classification_payload
@@ -160,15 +159,6 @@ class _Connection:
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self.busy = False
-
-
-def _resolve_sort(session: CircuitSession, kind: str):
-    if kind == "pin":
-        return pin_order_sort(session.circuit)
-    if kind == "heu1":
-        return session.heuristic1_sort()
-    sort = session.heuristic2_sort()
-    return sort.inverted() if kind == "heu2inv" else sort
 
 
 class JsonLineServer:
@@ -619,10 +609,9 @@ class AnalysisServer(JsonLineServer):
             )
             result = report.result
         else:
+            sort_obj = session.sort(sort_kind, max_accepted) if sort_kind else None
             result = session.classify(
-                criterion,
-                sort=_resolve_sort(session, sort_kind) if sort_kind else None,
-                max_accepted=max_accepted,
+                criterion, sort=sort_obj, max_accepted=max_accepted
             )
         payload = classification_payload(
             result,

@@ -220,27 +220,32 @@ def resolve_sort(
     session: CircuitSession,
     criterion: Criterion,
     sort: "InputSort | str | None",
+    max_accepted: "int | None" = None,
 ) -> "tuple[InputSort | None, str]":
     """``(sort object, label)`` from a symbolic name or explicit sort.
 
     FS/NR impose no π-order, so their queries always run sort-free.
+    ``max_accepted`` also bounds the passes that derive a Heuristic-2
+    sort (:meth:`CircuitSession.sort`).
     """
     from repro.sorting.input_sort import InputSort
 
+    label = _sort_label(criterion, sort)
     if criterion is not Criterion.SIGMA_PI:
-        return None, "none"
+        return None, label
     if isinstance(sort, InputSort):
-        return sort, "custom"
-    kind = sort or "heu2"
-    if kind == "pin":
-        return InputSort.pin_order(session.circuit), "pin"
-    if kind == "heu1":
-        return session.heuristic1_sort(), "heu1"
-    if kind == "heu2":
-        return session.heuristic2_sort(), "heu2"
-    if kind == "heu2inv":
-        return session.heuristic2_sort().inverted(), "heu2inv"
-    raise ValueError(f"unknown sort {kind!r}; valid: pin, heu1, heu2, heu2inv")
+        return sort, label
+    return session.sort(label, max_accepted), label
+
+
+def _sort_label(criterion: Criterion, sort: "InputSort | str | None") -> str:
+    """``none`` without a π-order, ``custom`` for an explicit sort, else
+    the sort's name (``heu2`` by default)."""
+    if criterion is not Criterion.SIGMA_PI:
+        return "none"
+    if sort is None or isinstance(sort, str):
+        return sort or "heu2"
+    return "custom"
 
 
 # -- the per-chunk worker task (module-level: picklable) ----------------
@@ -307,7 +312,8 @@ def tightness_row(
 ) -> TightnessRow:
     """Exact-vs-approximate verdict counts for one circuit.
 
-    Raises :class:`ClassifyError` when the classifier accepts more than
+    Raises :class:`ClassifyError` when any classifier pass of the row —
+    a Heuristic-2 sort's FS/NR passes included — accepts more than
     ``max_accepted`` paths (the sweep turns that into a SKIP row) and
     :class:`VerdictError` on any certificate failure.  ``circuit`` may
     be anything :func:`repro.loading.as_core` resolves (a
@@ -322,7 +328,7 @@ def tightness_row(
         session = CircuitSession(circuit, store=store)
     if runner is None:
         runner = TaskRunner(jobs=1)
-    sort_obj, sort_label = resolve_sort(session, criterion, sort)
+    sort_obj, sort_label = resolve_sort(session, criterion, sort, max_accepted)
     variant = _tightness_variant(session, criterion, sort_obj)
 
     def make_row(total, approx, exact, replays, counters, source):
@@ -443,14 +449,6 @@ def run_tightness(
         circuits = [
             c if isinstance(c, Circuit) else as_core(c) for c in circuits
         ]
-    if criterion is not Criterion.SIGMA_PI:
-        report_sort = "none"
-    elif isinstance(sort, str):
-        report_sort = sort
-    elif sort is None:
-        report_sort = "heu2"
-    else:
-        report_sort = "custom"
     rows = []
     for circuit in circuits:
         n_inputs = len(circuit.inputs)
@@ -499,7 +497,7 @@ def run_tightness(
             )
     return TightnessReport(
         criterion=criterion,
-        sort_label=report_sort,
+        sort_label=_sort_label(criterion, sort),
         rows=tuple(rows),
         wall_seconds=time.perf_counter() - start,
     )

@@ -6,6 +6,7 @@ from repro.circuit.examples import paper_example_circuit
 from repro.classify.conditions import Criterion
 from repro.classify.engine import classify
 from repro.classify.session import CircuitSession
+from repro.errors import ClassifyError
 from repro.experiments.harness import run_table1_row
 from repro.gen.random_logic import random_dag
 from repro.sorting.heuristics import heuristic2_analysis
@@ -121,6 +122,36 @@ class TestSortingConvenience:
         assert session.heuristic1_sort().ranks == heuristic1_sort(circuit).ranks
         assert session.heuristic2_sort().ranks == heuristic2_sort(circuit).ranks
         assert session.stats.count_paths_calls == 1
+
+    def test_sort_resolves_every_named_kind(self, circuit):
+        from repro.sorting.heuristics import heuristic1_sort, heuristic2_sort
+
+        session = CircuitSession(circuit)
+        heu2 = heuristic2_sort(circuit)
+        expected = {
+            "pin": InputSort.pin_order(circuit),
+            "heu1": heuristic1_sort(circuit),
+            "heu2": heu2,
+            "heu2inv": heu2.inverted(),
+        }
+        for kind, sort in expected.items():
+            assert session.sort(kind).ranks == sort.ranks, kind
+        with pytest.raises(ValueError, match="unknown sort"):
+            session.sort("random")
+
+    def test_sort_budget_covers_heuristic2_passes(self, circuit):
+        """An FS^sup over the budget aborts the sort itself; pin and
+        heu1 run no pass, so the budget cannot touch them."""
+        session = CircuitSession(circuit)
+        fs = session.classify(Criterion.FS).accepted
+        for kind in ("heu2", "heu2inv"):
+            with pytest.raises(ClassifyError):
+                session.sort(kind, max_accepted=fs - 1)
+        assert session.sort("heu2", max_accepted=fs).ranks == (
+            session.sort("heu2").ranks
+        )
+        for kind in ("pin", "heu1"):
+            session.sort(kind, max_accepted=0)
 
 
 def _counting(monkeypatch, modules):

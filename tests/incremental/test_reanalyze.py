@@ -11,6 +11,7 @@ from repro.gen.suite import get_circuit
 from repro.incremental import cone_classify, diff_circuits, reanalyze
 from repro.obs import get_registry
 from repro.sorting import heuristic2_sort
+from repro.sorting.input_sort import InputSort
 from repro.store.db import STORE_FORMAT_VERSION, ResultStore
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -56,6 +57,23 @@ class TestConeClassify:
         report = cone_classify(c, Criterion.SIGMA_PI, sort=sort)
         assert report.result.accepted == whole.accepted
         assert report.result.total_logical == whole.total_logical
+
+    @pytest.mark.parametrize("name", ["c17", "apex-a"])
+    def test_pin_sort_matches_whole_circuit(self, name):
+        c = get_circuit(name)
+        whole = classify(c, Criterion.SIGMA_PI, sort=InputSort.pin_order(c))
+        for sort in ("pin", None):
+            report = cone_classify(c, Criterion.SIGMA_PI, sort=sort)
+            assert report.result.accepted == whole.accepted
+
+    def test_heu2_sort_budget_abort_is_classify_error(self):
+        """A budget abort inside a cone's Heu2 FS/NR passes is a budget
+        abort, not a failed worker."""
+        with pytest.raises(ClassifyError):
+            cone_classify(
+                get_circuit("c17"), Criterion.SIGMA_PI, sort="heu2",
+                max_accepted=1,
+            )
 
     def test_cold_then_warm_roundtrip(self, store):
         c = get_circuit("c17")

@@ -1,14 +1,18 @@
 """Property-based tests of the core soundness claims (Algorithm 2,
 Lemma 1, Lemma 2) on random circuits."""
 
-from hypothesis import given, settings
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import loading
 from repro.classify.conditions import Criterion
 from repro.classify.engine import check_logical_path, classify
 from repro.classify.exact import exact_lp_sigma, exact_path_set
 from repro.classify.session import CircuitSession
 from repro.paths.enumerate import enumerate_logical_paths
-from repro.sorting.heuristics import heuristic1_sort
+from repro.sorting.heuristics import heuristic1_sort, random_sort
 from repro.sorting.input_sort import InputSort
 
 from tests.strategies import small_circuits
@@ -63,14 +67,33 @@ def test_nr_accepted_subset_of_fs_accepted(circuit):
     assert _approx(circuit, Criterion.NR) <= _approx(circuit, Criterion.FS)
 
 
-@settings(max_examples=25, deadline=None)
-@given(circuit=small_circuits(max_gates=12))
-def test_sigma_between_nr_and_fs_supersets(circuit):
-    sort = InputSort.pin_order(circuit)
+S27 = Path(__file__).resolve().parents[2] / "examples" / "s27_timing.bench"
+
+
+def _assert_superset_order(circuit, seeds):
+    """NR^sup ⊆ LP^sup(σ^π) ⊆ FS^sup under every named sort and a
+    seeded random sort per seed: Lemma 1's order for the supersets the
+    classifier actually computes, which is what lets one budgeted FS
+    pass bound the NR and σ^π passes that follow it."""
+    session = CircuitSession(circuit)
+    sorts = {kind: session.sort(kind) for kind in ("pin", "heu1", "heu2", "heu2inv")}
+    for seed in seeds:
+        sorts[f"random:{seed}"] = random_sort(circuit, seed=seed)
     nr = _approx(circuit, Criterion.NR)
     fs = _approx(circuit, Criterion.FS)
-    sigma = _approx(circuit, Criterion.SIGMA_PI, sort)
-    assert nr <= sigma <= fs
+    for label, sort in sorts.items():
+        sigma = _approx(circuit, Criterion.SIGMA_PI, sort)
+        assert nr <= sigma <= fs, label
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuit=small_circuits(max_gates=12), seed=st.integers(0, 2**16))
+def test_sigma_between_nr_and_fs_supersets(circuit, seed):
+    _assert_superset_order(circuit, [seed])
+
+
+def test_sigma_between_supersets_on_s27_scan_core():
+    _assert_superset_order(loading.as_core(S27), range(8))
 
 
 @settings(max_examples=20, deadline=None)

@@ -63,6 +63,20 @@ class TestTightnessOp:
                 client.tightness(circuit="apex-a", max_accepted=10)
         assert excinfo.value.error_type == "ClassifyError"
 
+    def test_budget_covers_heu2_passes_cold_and_warm(self, harness):  # noqa: F811
+        """apex-a's FS^sup (166) is over a budget of 150 that its σ^π
+        pass (136) fits: the Heu2 sort's FS pass aborts the request,
+        also once an unbudgeted request has warmed the store."""
+        h = _unix_server(harness, store=str(harness.tmp_path / "s.sqlite"))
+        with ServiceClient.connect(h.address) as client:
+            for warm_first in (False, True):
+                if warm_first:
+                    row = client.tightness(circuit="apex-a")
+                    assert row["approx_accepted"] == 136
+                with pytest.raises(RemoteError) as excinfo:
+                    client.tightness(circuit="apex-a", max_accepted=150)
+                assert excinfo.value.error_type == "ClassifyError"
+
     def test_invalid_sort_rejected(self, harness):  # noqa: F811
         h = _unix_server(harness)
         with ServiceClient.connect(h.address) as client:

@@ -397,6 +397,29 @@ class TestStoreFlags:
         assert "hit (100%)" in warm
         assert cold.splitlines()[0] == warm.splitlines()[0]  # same result
 
+    def test_classify_heu1_sort_read_through_store(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.store.db import ResultStore
+
+        store = str(tmp_path / "s.sqlite")
+        argv = ["classify", "c17", "--sort", "heu1", "--store", store, "--json"]
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        hits = []
+        real_get = ResultStore.get
+
+        def get(self, fingerprint, kind, variant=""):
+            payload = real_get(self, fingerprint, kind, variant)
+            hits.append((kind, variant, payload is not None))
+            return payload
+
+        monkeypatch.setattr(ResultStore, "get", get)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert ("sort", "heu1", True) in hits
+        assert warm["accepted"] == cold["accepted"]
+
     def test_cache_stats_gc_clear(self, capsys, tmp_path):
         store = str(tmp_path / "s.sqlite")
         main(["classify", "c17", "--store", store])

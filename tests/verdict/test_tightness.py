@@ -6,13 +6,17 @@ satisfy the soundness chain ``exact <= approx <= total`` with one
 replayed witness per SAT verdict.
 """
 
+import hashlib
+
 import pytest
 
 from repro.classify.conditions import Criterion
+from repro.classify.session import CircuitSession
 from repro.errors import ClassifyError
 from repro.experiments.supervisor import TaskRunner
 from repro.gen.suite import get_circuit
 from repro.obs import get_registry
+from repro.store.db import ResultStore
 from repro.verdict import (
     TightnessReport,
     TightnessRow,
@@ -22,6 +26,12 @@ from repro.verdict import (
 )
 
 CIRCUITS = ["c17", "apex-a"]
+
+#: sha256 of ``run_tightness().table_bytes()`` on the default suite:
+#: twelve decided rows plus the s3540-mult and smid-mult budget SKIPs
+DEFAULT_TABLE_SHA256 = (
+    "b199dcd04e4bf878cb770088a1857fc1da73a1868f57286eaad72e0176df026f"
+)
 
 
 def _report(**kwargs) -> TightnessReport:
@@ -115,6 +125,107 @@ class TestStoreCaching:
         nr = tightness_row(circuit, Criterion.NR, None, store=store)
         assert nr.source == "computed"  # distinct variant, no false hit
         assert (sigma.criterion, nr.criterion) == ("SIGMA_PI", "NR")
+
+
+#: apex-a: FS^sup 166 > BUDGET >= LP^sup(sigma^pi, heu2) 136, so only
+#: the Heuristic-2 FS pass is over budget
+BUDGET = 150
+
+
+def _spy_store_reads(monkeypatch) -> "list[tuple[str, str]]":
+    """Record the ``(kind, variant)`` of every store read."""
+    reads = []
+    real_get = ResultStore.get
+
+    def get(self, fingerprint, kind, variant=""):
+        reads.append((kind, variant))
+        return real_get(self, fingerprint, kind, variant)
+
+    monkeypatch.setattr(ResultStore, "get", get)
+    return reads
+
+
+class TestSortBudget:
+    """``max_accepted`` covers the Heuristic-2 FS/NR passes, cold and
+    warm alike."""
+
+    def test_apex_a_only_fs_is_over_budget(self):
+        session = CircuitSession(get_circuit("apex-a"))
+        assert session.classify(Criterion.FS).accepted > BUDGET
+        sort = session.sort("heu2")
+        sigma = session.classify(Criterion.SIGMA_PI, sort=sort).accepted
+        assert sigma <= BUDGET
+
+    def test_storeless_row_raises(self):
+        with pytest.raises(ClassifyError):
+            tightness_row(
+                get_circuit("apex-a"), Criterion.SIGMA_PI, "heu2",
+                max_accepted=BUDGET,
+            )
+
+    def test_warm_store_row_raises(self, tmp_path, monkeypatch):
+        """Neither a stored sort nor a stored row within the budget may
+        let the row past its over-budget FS pass."""
+        store = str(tmp_path / "s.sqlite")
+        circuit = get_circuit("apex-a")
+        warm = CircuitSession(circuit, store=store)
+        warm.classify(Criterion.SIGMA_PI, sort=warm.sort("heu2"))
+        reads = _spy_store_reads(monkeypatch)
+        with pytest.raises(ClassifyError):
+            tightness_row(circuit, Criterion.SIGMA_PI, "heu2",
+                          store=store, max_accepted=BUDGET)
+        assert ("sort", "heu2") not in reads
+        unbudgeted = tightness_row(circuit, Criterion.SIGMA_PI, "heu2",
+                                   store=store)
+        assert unbudgeted.approx_accepted <= BUDGET
+        with pytest.raises(ClassifyError):
+            tightness_row(circuit, Criterion.SIGMA_PI, "heu2",
+                          store=store, max_accepted=BUDGET)
+
+    def test_unbudgeted_warm_row_reads_sort_once(self, tmp_path, monkeypatch):
+        store = str(tmp_path / "s.sqlite")
+        circuit = get_circuit("apex-a")
+        tightness_row(circuit, Criterion.SIGMA_PI, "heu2", store=store)
+        reads = _spy_store_reads(monkeypatch)
+        session = CircuitSession(circuit, store=store)
+        row = tightness_row(circuit, Criterion.SIGMA_PI, "heu2",
+                            session=session)
+        assert row.source == "store"
+        assert [kind for kind, _ in reads] == ["sort", "tightness"]
+        assert reads[0] == ("sort", "heu2")
+        assert (session.stats.store_hits, session.stats.store_misses) == (2, 0)
+
+    def test_budgeted_warm_row_derives_sort_from_passes(
+        self, tmp_path, monkeypatch
+    ):
+        """Under a budget the sort comes from the stored FS/NR entries,
+        never from the stored sort, and the row matches a cold one."""
+        store = str(tmp_path / "s.sqlite")
+        circuit = get_circuit("apex-a")
+        cold = tightness_row(circuit, Criterion.SIGMA_PI, "heu2",
+                             max_accepted=200)
+        tightness_row(circuit, Criterion.SIGMA_PI, "heu2", store=store)
+        reads = _spy_store_reads(monkeypatch)
+        warm = tightness_row(circuit, Criterion.SIGMA_PI, "heu2",
+                             store=store, max_accepted=200)
+        assert warm.source == "store"
+        assert [kind for kind, _ in reads] == [
+            "classify", "classify", "tightness"
+        ]
+        assert warm.table_row() == cold.table_row()
+
+
+class TestDefaultSuite:
+    def test_default_table_is_pinned(self):
+        """Every decided row and both SKIP reasons, byte for byte; the
+        two SKIP rows die in their budgeted Heu2 FS pass."""
+        report = run_tightness()
+        skips = {row.circuit: row.skipped for row in report.rows if row.skipped}
+        assert sorted(skips) == ["s3540-mult", "smid-mult"]
+        for reason in skips.values():
+            assert reason.startswith("classifier accepted > 50000")
+        digest = hashlib.sha256(report.table_bytes()).hexdigest()
+        assert digest == DEFAULT_TABLE_SHA256
 
 
 class TestSkipRows:
