@@ -25,11 +25,17 @@ Usage::
 ``SolveResult`` carries per-call statistics (conflicts, decisions,
 learned-clause reuse hits); cumulative totals live on
 :attr:`Solver.stats`.
+
+A caller that needs a *fresh* solve per query keeps one never-solved
+template and solves copies of it: ``template.copy()`` plus
+``add_unit(lit)`` per literal gives the same ``SolveResult`` as
+``Solver(cnf)`` with those unit clauses appended to the CNF in the
+same order, without re-adding the clauses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.atpg.cnf import CNF
 
@@ -116,6 +122,44 @@ class Solver:
         for clause in cnf.clauses:
             self._add_clause([self._pack(lit) for lit in clause])
         self._num_original = len(self._clauses)
+
+    def copy(self) -> "Solver":
+        """An independent solver in exactly this one's state.
+
+        Clauses, watch lists, the trail and every per-variable array
+        are copied (the solver swaps literals inside clauses and
+        rewrites watch lists as it propagates), so solving the copy
+        leaves this instance untouched."""
+        # Plain attribute stores in __init__'s order: touching
+        # ``__dict__`` would turn the instance's inline attribute values
+        # into a dict and slow every ``self._...`` access in the search.
+        twin = Solver.__new__(Solver)
+        twin._num_vars = self._num_vars
+        twin._assign = self._assign[:]
+        twin._level = self._level[:]
+        twin._reason = self._reason[:]
+        twin._activity = self._activity[:]
+        twin._phase = self._phase[:]
+        twin._trail = self._trail[:]
+        twin._trail_lim = self._trail_lim[:]
+        twin._qhead = self._qhead
+        twin._clauses = list(map(list.copy, self._clauses))
+        twin._clause_epoch = self._clause_epoch[:]
+        twin._watches = list(map(list.copy, self._watches))
+        twin._var_inc = self._var_inc
+        twin._ok = self._ok
+        twin._units = self._units[:]
+        twin._epoch = self._epoch
+        twin._reuse_hits = self._reuse_hits
+        twin._propagation_count = self._propagation_count
+        twin.stats = replace(self.stats)
+        twin._num_original = self._num_original
+        return twin
+
+    def add_unit(self, lit: int) -> None:
+        """Add the unit clause ``[lit]`` (DIMACS); it becomes a level-0
+        fact at the next ``solve``, as if it had been in the CNF."""
+        self._units.append(self._pack(lit))
 
     # -- literal packing: var v -> 2v (positive) / 2v+1 (negative) ------
     @staticmethod

@@ -59,6 +59,7 @@ class Circuit:
         self._lead_pin: list[int] = []
         self._flat = None
         self._cone_index = None  # repro.incremental.conefp cache slot
+        self._sensitization = None  # repro.verdict.encode cache slot
 
     # ------------------------------------------------------------------
     # Construction
@@ -118,9 +119,9 @@ class Circuit:
         status (that would change the circuit's interface, not edit it).
 
         On a frozen circuit the derived structure (fanout, leads, levels,
-        the cached flat IR and cone index) is rebuilt; the edit is
-        transactional — an invalid replacement raises
-        :class:`CircuitError` and leaves the circuit unchanged.
+        the cached flat IR, cone index and sensitization encoder) is
+        rebuilt; the edit is transactional — an invalid replacement
+        raises :class:`CircuitError` and leaves the circuit unchanged.
         """
         if name not in self._by_name:
             raise CircuitError(f"no gate named {name!r}")
@@ -156,6 +157,7 @@ class Circuit:
             self._frozen = False
             self._flat = None
             self._cone_index = None
+            self._sensitization = None
             try:
                 self.freeze()
             except CircuitError:

@@ -14,121 +14,69 @@ robust (Lin–Reddy)     sides nc under v2          sides nc under v1 AND v2
 
 For robust tests the to-c side inputs must be *steady* non-controlling —
 otherwise the gate output shows no transition (masking), which is the
-classical robust sensitization rule.  All three classes are decided
-exactly with one SAT query over one (FS/NR) or two (robust) time frames;
-the queries are per explicit path and therefore meant for small/medium
-circuits (the fast classifier in :mod:`repro.classify` is the scalable
-approximation).
+classical robust sensitization rule.
+
+Each function is a thin wrapper over the circuit's shared
+:class:`~repro.verdict.encode.SensitizationEncoder`
+(:func:`~repro.verdict.encode.encoder_for`): the circuit is
+Tseitin-encoded once per frame (one frame for FS/NR, two for robust)
+and each path is one SAT query, solved on a pristine copy of a
+never-solved template solver with the path's conditions as level-0
+units.  A query therefore returns the same witness as a solver built
+from scratch for that path, whatever was asked before it.  The
+queries are per explicit path and therefore meant for small/medium
+circuits (the fast classifier in :mod:`repro.classify` is the
+scalable approximation).
+
+Telemetry: ``delaytest.queries`` counts the queries and
+``delaytest.encodings_built`` the Tseitin frames encoded.
 """
 
 from __future__ import annotations
 
-from repro.atpg.cnf import CNF
-from repro.atpg.sat import Solver
-from repro.atpg.tseitin import tseitin_encode
-from repro.circuit.gates import (
-    controlling_value,
-    has_controlling_value,
-    is_inverting,
-)
 from repro.circuit.netlist import Circuit
+from repro.classify.conditions import Criterion
+from repro.obs import get_registry
 from repro.paths.path import LogicalPath
 
 
-def _on_path_values(circuit: Circuit, lp: LogicalPath) -> list[tuple[int, int]]:
-    """(lead, final value carried into the lead) for every path lead."""
-    val = lp.final_value
-    out = []
-    for lead in lp.path.leads:
-        out.append((lead, val))
-        if is_inverting(circuit.gate_type(circuit.lead_dst(lead))):
-            val = 1 - val
-    return out
+def _encoder(circuit: Circuit):
+    """The circuit's cached encoder, counting one query."""
+    # imported per call: repro.verdict imports repro.experiments, whose
+    # figures import this module
+    from repro.verdict.encode import encoder_for
+
+    get_registry().counter("delaytest.queries").inc()
+    return encoder_for(circuit)
 
 
-def _unit(var: int, value: int) -> list[int]:
-    return [var if value else -var]
-
-
-def _side_sources(circuit: Circuit, lead: int) -> list[int]:
-    dst = circuit.lead_dst(lead)
-    pin = circuit.lead_pin(lead)
-    fanin = circuit.fanin(dst)
-    return [src for p, src in enumerate(fanin) if p != pin]
+def _vector(circuit: Circuit, lp: LogicalPath, criterion: Criterion):
+    encoder = _encoder(circuit)
+    model = encoder.solve(encoder.query(lp, criterion))
+    return None if model is None else encoder.decode_witness(model)
 
 
 def fs_vector(circuit: Circuit, lp: LogicalPath):
     """A vector functionally sensitizing ``lp`` (Definition 4), or None."""
-    cnf = CNF()
-    enc = tseitin_encode(circuit, cnf)
-    pi = lp.path.source(circuit)
-    cnf.add_clause(_unit(enc.var(pi), lp.final_value))
-    for lead, val in _on_path_values(circuit, lp):
-        dst = circuit.lead_dst(lead)
-        gtype = circuit.gate_type(dst)
-        if not has_controlling_value(gtype):
-            continue
-        c = controlling_value(gtype)
-        if val != c:
-            for src in _side_sources(circuit, lead):
-                cnf.add_clause(_unit(enc.var(src), 1 - c))
-    result = Solver(cnf).solve()
-    if not result.sat:
-        return None
-    return enc.decode_inputs(circuit, result.model)
+    return _vector(circuit, lp, Criterion.FS)
 
 
 def nonrobust_test(circuit: Circuit, lp: LogicalPath):
     """The second vector of a non-robust test (Definition 5), or None."""
-    cnf = CNF()
-    enc = tseitin_encode(circuit, cnf)
-    pi = lp.path.source(circuit)
-    cnf.add_clause(_unit(enc.var(pi), lp.final_value))
-    for lead, _val in _on_path_values(circuit, lp):
-        dst = circuit.lead_dst(lead)
-        gtype = circuit.gate_type(dst)
-        if not has_controlling_value(gtype):
-            continue
-        c = controlling_value(gtype)
-        for src in _side_sources(circuit, lead):
-            cnf.add_clause(_unit(enc.var(src), 1 - c))
-    result = Solver(cnf).solve()
-    if not result.sat:
-        return None
-    return enc.decode_inputs(circuit, result.model)
+    return _vector(circuit, lp, Criterion.NR)
 
 
 def robust_test(circuit: Circuit, lp: LogicalPath):
     """A robust two-pattern test ``(v1, v2)`` for ``lp``, or None.
 
-    Encodes two frames sharing nothing but the constraints: frame 2 must
-    non-robustly sensitize the path, and at every to-controlling on-path
-    gate the side inputs must additionally be non-controlling in frame 1
-    (steady sides).  Frame 1 sets the path PI to the initial value.
+    Frame 2 must non-robustly sensitize the path, and at every
+    to-controlling on-path gate the side inputs must additionally be
+    non-controlling in frame 1 (steady sides).  Frame 1 sets the path
+    PI to the initial value.
     """
-    cnf = CNF()
-    enc1 = tseitin_encode(circuit, cnf)
-    enc2 = tseitin_encode(circuit, cnf)
-    pi = lp.path.source(circuit)
-    cnf.add_clause(_unit(enc1.var(pi), 1 - lp.final_value))
-    cnf.add_clause(_unit(enc2.var(pi), lp.final_value))
-    for lead, val in _on_path_values(circuit, lp):
-        dst = circuit.lead_dst(lead)
-        gtype = circuit.gate_type(dst)
-        if not has_controlling_value(gtype):
-            continue
-        c = controlling_value(gtype)
-        for src in _side_sources(circuit, lead):
-            cnf.add_clause(_unit(enc2.var(src), 1 - c))
-            if val == c:
-                cnf.add_clause(_unit(enc1.var(src), 1 - c))
-    result = Solver(cnf).solve()
-    if not result.sat:
-        return None
-    return (
-        enc1.decode_inputs(circuit, result.model),
-        enc2.decode_inputs(circuit, result.model),
-    )
+    encoder = _encoder(circuit)
+    model = encoder.solve(encoder.robust_query(lp))
+    return None if model is None else encoder.decode_pair(model)
 
 
 def is_robustly_testable(circuit: Circuit, lp: LogicalPath) -> bool:

@@ -68,7 +68,7 @@ __all__ = [
 #: symbolic per-cone sort specs: natural pin order, or a heuristic sort
 #: derived *on each cone* (deterministic given the cone's structure, so
 #: safe to key store rows by name)
-_SYMBOLIC_SORTS = (None, "pin", "heu1", "heu2")
+_SYMBOLIC_SORTS = (None, "pin", "heu1", "heu2", "heu2inv")
 
 
 def _budget_label(max_accepted: "Optional[int]") -> str:
@@ -244,6 +244,11 @@ def _cone_sort_plans(
     if sort in _SYMBOLIC_SORTS:
         label = "none" if sort in (None, "pin") else sort
         return {cone.po: (label, None) for cone in cones}
+    if isinstance(sort, str):
+        raise ValueError(
+            f"unknown sort {sort!r}; valid: pin, heu1, heu2, heu2inv, "
+            "None or an InputSort"
+        )
     from repro.store.fingerprint import canonical_form
 
     plans: "dict[int, tuple[str, Optional[list]]]" = {}
@@ -330,7 +335,8 @@ def cone_classify(
     """Classify every output cone, reusing stored cone rows.
 
     ``sort`` is ``None``/``"pin"`` (natural pin order), ``"heu1"`` /
-    ``"heu2"`` (the heuristic derived per cone), or an explicit global
+    ``"heu2"`` / ``"heu2inv"`` (the heuristic derived per cone; any
+    other string raises :class:`ValueError`), or an explicit global
     :class:`~repro.sorting.input_sort.InputSort` restricted per cone.
     ``max_accepted`` is a *per-cone* acceptance budget and part of the
     store key.  Without a ``store`` every cone is computed (a cold run —

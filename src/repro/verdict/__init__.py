@@ -3,8 +3,9 @@
 Where the word-parallel classifier (:mod:`repro.classify`) computes the
 superset ``LP^sup(σ^π)`` by local implications, this package decides
 *true* criterion membership per logical path with the incremental CDCL
-solver (:mod:`repro.atpg.sat`): one Tseitin base encoding per circuit,
-unit assumptions per path, simulation-replayed witnesses as checkable
+solver (:mod:`repro.atpg.sat`): one Tseitin base encoding per circuit
+(cached on the circuit and shared with :mod:`repro.delaytest`), unit
+assumptions per path, simulation-replayed witnesses as checkable
 certificates, and ``repro-rd tightness`` tables measuring the Lemma-2
 approximation gap (exact vs. approximate RD%).
 """

@@ -1,7 +1,9 @@
 """The SAT-backed exact verdict oracle.
 
-:class:`VerdictOracle` owns one :class:`SensitizationEncoder` and one
-incremental :class:`repro.atpg.sat.Solver` per circuit and answers true
+:class:`VerdictOracle` uses the circuit's shared
+:class:`SensitizationEncoder` (:func:`encoder_for`) and owns one
+incremental :class:`repro.atpg.sat.Solver`, a copy of the encoder's
+never-solved one-frame template, and answers true
 ``LP(σ^π)`` / ``FS(C)`` / ``T(C)`` membership per logical path —
 without the ``2^n`` input-count ceiling of
 :func:`repro.classify.exact.exists_vector`.
@@ -25,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.atpg.sat import Solver
 from repro.circuit.netlist import Circuit
 from repro.classify.conditions import Criterion
 from repro.classify.exact import satisfies_criterion
 from repro.errors import VerdictError
 from repro.obs import get_registry
 from repro.paths.path import LogicalPath
-from repro.verdict.encode import SensitizationEncoder
+from repro.verdict.encode import encoder_for
 
 if TYPE_CHECKING:
     from repro.sorting.input_sort import InputSort
@@ -73,8 +74,8 @@ class VerdictOracle:
         replay_witnesses: bool = True,
     ) -> None:
         self.circuit = circuit
-        self.encoder = SensitizationEncoder(circuit)
-        self.solver = Solver(self.encoder.encoding.cnf)
+        self.encoder = encoder_for(circuit)
+        self.solver = self.encoder.fresh_solver()
         self.max_conflicts = max_conflicts
         self.replay_witnesses = replay_witnesses
 

@@ -57,8 +57,9 @@ DEFAULT_MAX_INPUTS = 20
 #: get a structured SKIP row instead of an open-ended run.
 DEFAULT_MAX_ACCEPTED = 50_000
 
-#: Paths per fan-out chunk (each worker task rebuilds the circuit's
-#: base encoding once, then decides its chunk incrementally).
+#: Paths per fan-out chunk (each chunk's oracle starts from the
+#: circuit's cached one-frame template, then decides its chunk
+#: incrementally).
 CHUNK_SIZE = 512
 
 

@@ -66,6 +66,22 @@ class TestConeClassify:
             report = cone_classify(c, Criterion.SIGMA_PI, sort=sort)
             assert report.result.accepted == whole.accepted
 
+    def test_heu2inv_sort_is_derived_per_cone(self):
+        c = get_circuit("c17")
+        report = cone_classify(c, Criterion.SIGMA_PI, sort="heu2inv")
+        assert report.sort_label == "heu2inv"
+        for po, row in zip(c.outputs, report.rows):
+            cone, _mapping = c.extract_cone(po)
+            session = CircuitSession(cone)
+            whole = session.classify(
+                Criterion.SIGMA_PI, sort=session.sort("heu2inv")
+            )
+            assert row.accepted == whole.accepted
+
+    def test_unknown_sort_name_is_a_value_error(self):
+        with pytest.raises(ValueError, match="heu2inv"):
+            cone_classify(get_circuit("c17"), Criterion.SIGMA_PI, sort="heu3")
+
     def test_heu2_sort_budget_abort_is_classify_error(self):
         """A budget abort inside a cone's Heu2 FS/NR passes is a budget
         abort, not a failed worker."""
