@@ -58,6 +58,8 @@ if TYPE_CHECKING:  # annotation-only; avoids a classify <-> sorting cycle
     from repro.store.db import ResultStore
     from repro.store.fingerprint import CanonicalForm
 
+SORT_KINDS = ("pin", "heu1", "heu2", "heu2inv")  #: CircuitSession.sort names
+
 
 @dataclass
 class SessionStats:
@@ -472,13 +474,11 @@ class CircuitSession:
         budgeted FS pass leaves no later pass room to overflow."""
         from repro.sorting.input_sort import InputSort
 
+        if kind not in SORT_KINDS:
+            raise ValueError(f"unknown sort {kind!r}; valid: {SORT_KINDS}")
         if kind == "pin":
             return InputSort.pin_order(self.circuit)
         if kind == "heu1":
             return self.heuristic1_sort()
-        if kind not in ("heu2", "heu2inv"):
-            raise ValueError(
-                f"unknown sort {kind!r}; valid: pin, heu1, heu2, heu2inv"
-            )
         sort = self.heuristic2_sort(max_accepted)
         return sort.inverted() if kind == "heu2inv" else sort

@@ -35,7 +35,7 @@ from repro.baseline.exact_assignment import baseline_rd
 from repro.circuit.netlist import Circuit
 from repro.circuit.stats import circuit_stats, internal_fanout_count
 from repro.classify.conditions import Criterion
-from repro.classify.session import CircuitSession
+from repro.classify.session import SORT_KINDS, CircuitSession
 from repro.gen.suite import SUITE
 from repro.obs import export_jsonl, format_metrics, get_registry
 from repro.sorting.heuristics import random_sort
@@ -876,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         "testability, sigma = LP(sigma^pi) (default)",
     )
     p.add_argument(
-        "--sort", choices=["pin", "heu1", "heu2", "heu2inv", "random"],
+        "--sort", choices=[*SORT_KINDS, "random"],
         default="heu2", help="input sort for --criterion sigma",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for --sort random")
@@ -903,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("circuit")
     p.add_argument(
-        "--sorts", default="pin,heu1,heu2,heu2inv",
+        "--sorts", default=",".join(SORT_KINDS),
         help="comma-separated sort names to compare",
     )
     p.add_argument(
@@ -935,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("circuit")
     p.add_argument(
-        "--sort", choices=["pin", "heu1", "heu2", "heu2inv", "random"],
+        "--sort", choices=[*SORT_KINDS, "random"],
         default="heu2",
     )
     p.add_argument("--limit", type=int, default=20,
@@ -951,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.8,
                    help="threshold as a fraction of the longest path delay")
     p.add_argument(
-        "--sort", choices=["pin", "heu1", "heu2", "heu2inv", "random"],
+        "--sort", choices=[*SORT_KINDS, "random"],
         default="heu2",
     )
     p.add_argument("--max-accepted", type=int, default=100_000,
@@ -1065,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="classification criterion (default sigma)",
     )
     p.add_argument(
-        "--sort", choices=["pin", "heu1", "heu2"], default="heu2",
+        "--sort", choices=SORT_KINDS, default="heu2",
         help="per-cone input sort for --criterion sigma",
     )
     p.add_argument(
@@ -1090,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="criterion to decide exactly (default sigma)",
     )
     p.add_argument(
-        "--sort", choices=["pin", "heu1", "heu2", "heu2inv"], default="heu2",
+        "--sort", choices=SORT_KINDS, default="heu2",
         help="input sort for --criterion sigma (default heu2)",
     )
     p.add_argument(

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro.circuit.netlist import Circuit
 from repro.classify.conditions import Criterion
 from repro.classify.results import ClassificationResult
+from repro.classify.session import SORT_KINDS
 from repro.errors import ClassifyError, HarnessError
 from repro.incremental.conefp import Cone, cone_index
 from repro.incremental.diff import CircuitDiff, diff_circuits
@@ -68,7 +69,7 @@ __all__ = [
 #: symbolic per-cone sort specs: natural pin order, or a heuristic sort
 #: derived *on each cone* (deterministic given the cone's structure, so
 #: safe to key store rows by name)
-_SYMBOLIC_SORTS = (None, "pin", "heu1", "heu2", "heu2inv")
+_SYMBOLIC_SORTS = (None, *SORT_KINDS)
 
 
 def _budget_label(max_accepted: "Optional[int]") -> str:
@@ -246,8 +247,7 @@ def _cone_sort_plans(
         return {cone.po: (label, None) for cone in cones}
     if isinstance(sort, str):
         raise ValueError(
-            f"unknown sort {sort!r}; valid: pin, heu1, heu2, heu2inv, "
-            "None or an InputSort"
+            f"unknown sort {sort!r}; valid: {_SYMBOLIC_SORTS} or an InputSort"
         )
     from repro.store.fingerprint import canonical_form
 

@@ -36,6 +36,18 @@ pytestmark = pytest.mark.chaos
 #: reliably lands mid-request
 SLOW_CIRCUIT = "s499-ecc"
 
+#: (circuit, criterion) pairs the load threads cycle: small and medium
+#: circuits, so the load is service overhead rather than one giant
+#: classify, and distinct pairs, so coalescing does not flatter it
+LOAD_WORKLOAD = (
+    ("c17", "fs"),
+    ("c17", "sigma"),
+    ("misex-f", "fs"),
+    ("z5xp-b", "fs"),
+    ("bw-d", "sigma"),
+    ("xcmp16", "fs"),
+)
+
 
 def _fast_harness(**overrides):
     """A fleet tuned for quick failure detection in tests."""
@@ -152,6 +164,65 @@ class TestKillMidRequest:
             counters = snapshot["metrics"]["counters"]
             assert counters["fleet.respawns"] > before
             assert stats["respawns"] >= 1
+        finally:
+            harness.stop()
+
+
+class TestKillUnderLoad:
+    def test_sigkill_under_sustained_load_drops_nothing(self, tmp_path):
+        """Four clients cycle the workload for ~5 s while one worker is
+        SIGKILLed a third of the way in: every request ends in an answer
+        or a ``RemoteError``, never a raw disconnect."""
+        harness = _fast_harness()
+        harness.start(str(tmp_path / "fleet.sock"))
+        try:
+            respawns_before = harness.server.supervisor.respawn_total
+            duration, threads = 5.0, 4
+            stop_at = time.monotonic() + duration
+            counts = {"ok": 0, "structured": 0}
+            dropped: list = []
+            lock = threading.Lock()
+
+            def drive(index):
+                with ServiceClient.connect(
+                    harness.address, retry=RetryPolicy(base_delay=0.05)
+                ) as client:
+                    step = index  # stagger: threads cycle different pairs
+                    while time.monotonic() < stop_at:
+                        circuit, criterion = LOAD_WORKLOAD[
+                            step % len(LOAD_WORKLOAD)
+                        ]
+                        step += threads
+                        try:
+                            client.classify(
+                                circuit=circuit, criterion=criterion
+                            )
+                            outcome = "ok"
+                        except RemoteError:
+                            outcome = "structured"
+                        except Exception as exc:  # a drop, whatever its type
+                            with lock:
+                                dropped.append(exc)
+                            continue
+                        with lock:
+                            counts[outcome] += 1
+
+            pool = [
+                threading.Thread(target=drive, args=(i,))
+                for i in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            time.sleep(duration / 3)
+            os.kill(harness.worker_pid(0), signal.SIGKILL)
+            for thread in pool:
+                thread.join(duration + 120)
+            assert not any(t.is_alive() for t in pool), "a client hung"
+            assert not dropped, (
+                f"{len(dropped)} raw disconnect(s), first: {dropped[0]!r}"
+            )
+            assert counts["ok"] > 0, counts
+            assert _wait_for_respawn(harness, respawns_before)
         finally:
             harness.stop()
 

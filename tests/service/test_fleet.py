@@ -2,7 +2,9 @@
 coalescing, admission control, deadline propagation, merged telemetry.
 (Worker-crash and wedge scenarios live in tests/chaos/test_fleet.py.)"""
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from repro.service.client import RetryPolicy, ServiceClient
 from repro.store.fingerprint import canonical_form
 
 from tests.service.fleet_harness import FleetHarness, stable_result
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +356,28 @@ class TestSignoffRequests:
         with connect(fleet) as client:
             remote = signoff_remote(scan, client, k=6, seed=0)
         assert remote.table_bytes() == local.table_bytes()
+
+    def test_cli_remote_matches_local_on_annotated_example(
+        self, fleet, capsys
+    ):
+        """``repro-rd signoff FILE --remote`` against the 2-worker fleet
+        prints the local table for the delay-annotated scan example."""
+        from repro.cli import main
+
+        bench = str(EXAMPLES / "s27_timing.bench")
+        assert main(["signoff", bench, "--k", "5", "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        assert main(
+            ["signoff", bench, "--k", "5", "--remote", fleet.address, "--json"]
+        ) == 0
+        remote = json.loads(capsys.readouterr().out)
+        assert local["mode"] == "k" and local["k"] == 5
+        assert local["rows"], "annotated s27 must have robust paths"
+        assert local["paths"] == len(local["rows"]) <= 5
+        volatile = ("exact", "counters", "sources", "wall_seconds")
+        for key in volatile:
+            local.pop(key), remote.pop(key)
+        assert remote == local
 
 
 class TestIntrospection:

@@ -345,12 +345,21 @@ class TestNewSubcommands:
 
     def test_tightness_store_round_trip(self, tmp_path, capsys):
         store = str(tmp_path / "verdicts.sqlite")
-        assert main(["tightness", "c17", "--store", store, "--json"]) == 0
+        argv = ["tightness", "c17", "apex-a", "--store", store, "--json"]
+        assert main(argv) == 0
         cold = json.loads(capsys.readouterr().out)
-        assert main(["tightness", "c17", "--store", store, "--json"]) == 0
+        assert main(argv) == 0
         warm = json.loads(capsys.readouterr().out)
-        assert cold["rows"][0]["source"] == "computed"
-        assert warm["rows"][0]["source"] == "store"
+        assert [r["circuit"] for r in cold["rows"]] == ["c17", "apex-a"]
+        for cold_row, warm_row in zip(cold["rows"], warm["rows"]):
+            assert not cold_row["skipped"], cold_row
+            assert cold_row["source"] == "computed"
+            assert warm_row["source"] == "store"
+            assert cold_row["exact_rd_percent"] >= cold_row["approx_rd_percent"]
+            assert cold_row["witness_replays"] == cold_row["exact_accepted"]
+            assert cold_row["witness_replays"] >= 1
+            for key in ("total_logical", "approx_accepted", "exact_accepted"):
+                assert warm_row[key] == cold_row[key], key
 
     def test_tightness_skip_row_for_wide_circuit(self, capsys):
         assert main(
@@ -363,6 +372,74 @@ class TestNewSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["criterion"] == "NR"
         assert payload["sort"] == "none"
+
+
+class TestEcoCommands:
+    @pytest.fixture
+    def eco_pair(self, tmp_path):
+        """s499-ecc and a copy with one local gate flipped: the AND/OR
+        gate that reaches the fewest output cones, as .bench files."""
+        from repro.circuit.bench import write_bench
+        from repro.circuit.gates import GateType
+        from repro.gen.suite import get_circuit
+        from repro.incremental import cone_index
+
+        flips = {
+            GateType.AND: GateType.OR,
+            GateType.OR: GateType.AND,
+            GateType.NAND: GateType.NOR,
+            GateType.NOR: GateType.NAND,
+        }
+        base = get_circuit("s499-ecc")
+        cones = cone_index(base).cones
+        gid = min(
+            (g for g in range(base.num_gates) if base.gate_type(g) in flips),
+            key=lambda g: sum((cone.mask >> g) & 1 for cone in cones),
+        )
+        edited = base.copy("s499-ecc-eco")
+        edited.replace_gate(
+            base.gate_name(gid), flips[base.gate_type(gid)],
+            list(edited.fanin(gid)),
+        )
+        paths = []
+        for circuit, name in ((base, "base"), (edited, "edited")):
+            path = tmp_path / f"{name}.bench"
+            path.write_text(write_bench(circuit), encoding="utf-8")
+            paths.append(str(path))
+        return paths
+
+    def test_diff_and_reanalyze_a_local_flip(self, eco_pair, tmp_path, capsys):
+        base, edited = eco_pair
+        assert main(["diff", base, edited, "--json"]) == 0
+        diff = json.loads(capsys.readouterr().out)
+        assert diff["counts"]["DIRTY"] >= 1, diff["counts"]
+        assert diff["counts"]["CLEAN"] >= 1, diff["counts"]
+        assert 0.0 < diff["reuse_possible"] < 1.0, diff
+
+        store = str(tmp_path / "eco.sqlite")
+        assert main(
+            ["reanalyze", base, edited, "--store", store,
+             "--criterion", "fs", "--json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["reuse_ratio"] > 0.0
+        assert report["edited"]["cones_reused"] >= 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--criterion", "fs"], ["--sort", "heu2inv"]]
+    )
+    def test_reanalyze_identical_pair_is_fully_reused(
+        self, flags, tmp_path, capsys
+    ):
+        store = str(tmp_path / "eco.sqlite")
+        assert main(
+            ["reanalyze", "c17", "c17", "--store", store, "--json", *flags]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["diff"]["counts"]["DIRTY"] == 0, report["diff"]
+        assert report["reuse_ratio"] == 1.0
+        if "heu2inv" in flags:
+            assert report["edited"]["sort"] == "heu2inv"
 
 
 class TestVersion:
