@@ -44,8 +44,7 @@ import time
 from array import array
 from typing import TYPE_CHECKING
 
-from repro.circuit.gates import GateType, controlling_value
-from repro.logic.values import controlled_output, uncontrolled_output
+from repro.circuit.gates import GateType, controlling_value, gate_output_for_oneshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.circuit.netlist import Circuit
@@ -318,8 +317,8 @@ class FlatCircuit:
             if k == K_SIMPLE:
                 ctrl[g] = controlling_value(t)
                 nc[g] = 1 - ctrl[g]
-                out_ctrl[g] = controlled_output(t)
-                out_nc[g] = uncontrolled_output(t)
+                out_ctrl[g] = gate_output_for_oneshot(t, True)
+                out_nc[g] = gate_output_for_oneshot(t, False)
         self.type_code = type_code
         self.kind = kind
         self.ctrl = ctrl

@@ -4,6 +4,8 @@ Used to validate the fast approximate classifier on small circuits:
 
 * :func:`satisfies_criterion` — do the criterion's conditions hold for a
   given logical path under a given, fully specified input vector?
+  (:func:`criterion_holds` is the same check on values already
+  simulated.)
 * :func:`exists_vector` — brute-force existential over all ``2^n``
   vectors (the exact membership test the paper's Algorithm 2
   approximates).
@@ -23,7 +25,7 @@ from repro.classify.conditions import Criterion, required_side_pins
 from repro.logic.simulate import all_vectors, simulate
 from repro.paths.enumerate import enumerate_logical_paths
 from repro.paths.path import LogicalPath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # annotation-only; avoids a classify <-> sorting cycle
     from repro.sorting.input_sort import InputSort
@@ -39,9 +41,23 @@ def satisfies_criterion(
     sort: InputSort | None = None,
 ) -> bool:
     """Check the criterion's conditions for ``logical_path`` under the
-    stable values produced by ``vector`` (conditions (FU1)-(FU2),
+    stable values produced by ``vector`` (:func:`criterion_holds` on a
+    fresh simulation)."""
+    return criterion_holds(
+        circuit, criterion, logical_path, simulate(circuit, vector), sort
+    )
+
+
+def criterion_holds(
+    circuit: Circuit,
+    criterion: Criterion,
+    logical_path: LogicalPath,
+    values: Sequence[int],
+    sort: InputSort | None = None,
+) -> bool:
+    """Check the criterion's conditions for ``logical_path`` against
+    already-simulated gate ``values`` (conditions (FU1)-(FU2),
     (NR1)-(NR2) or (π1)-(π3) literally as written in the paper)."""
-    values = simulate(circuit, vector)
     pi = logical_path.path.source(circuit)
     if values[pi] != logical_path.final_value:
         return False  # (FU1)/(NR1)/(π1)

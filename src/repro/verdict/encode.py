@@ -152,6 +152,12 @@ class SensitizationEncoder:
         """The one-frame base encoding."""
         return self._frame(0)
 
+    @property
+    def gate_vars(self) -> list[int]:
+        """Frame 1's gate -> variable table (the variables of
+        :meth:`query`'s literals)."""
+        return self._var(0)
+
     def fresh_solver(self, frames: int = 1) -> Solver:
         """A never-solved solver over the first ``frames`` frames: a copy
         of the cached template, equal to ``Solver(cnf)`` without

@@ -65,14 +65,6 @@ class TestWitnesses:
             else:
                 assert verdict.witness is None
 
-    def test_witness_replay_can_be_disabled(self):
-        circuit = paper_example_circuit()
-        oracle = VerdictOracle(circuit, replay_witnesses=False)
-        lp = next(iter(enumerate_logical_paths(circuit)))
-        verdict = oracle.decide(lp, Criterion.FS)
-        # still decides; witnesses still decoded, just not replayed
-        assert verdict.in_set == exists_vector(circuit, Criterion.FS, lp)
-
 
 class TestIncrementality:
     def test_one_solver_serves_all_paths(self):
