@@ -34,14 +34,22 @@ with set-of-gates state packed into word-wide bitmasks:
   short-circuits the worklist for states revisited across sibling
   subtrees, which dominates on reconvergent circuits.
 
-The DFS itself keeps explicit iterator/state stacks, so arbitrarily deep
-circuits are handled without recursion.  Enumeration order, edge counts
-and accept/prune decisions are identical to the reference trail engine
-(:mod:`repro.classify.reference`), which the equivalence tests enforce.
+There is one DFS kernel (:func:`_dfs`) for every pass.  It keeps
+explicit iterator/state stacks, so arbitrarily deep circuits are handled
+without recursion, plus a stack of the entries on the current path.
+Algorithm 3's per-lead counts fall out of that stack at O(1) per frame:
+pushing a controlling entry subtracts the running accepted count from
+its lead, popping it adds the count back, so each lead is credited with
+exactly the accepted paths of its subtree.  The same stack rebuilds an
+accepted path for ``on_path``.  Enumeration order, edge counts,
+accept/prune decisions and lead counts are identical to the reference
+trail engine (:mod:`repro.classify.reference`), which the equivalence
+tests enforce.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.circuit.flat import K_NOT, K_PO, K_SIMPLE
@@ -50,7 +58,7 @@ from repro.classify.conditions import Criterion, packed_side_conditions
 from repro.classify.results import ClassificationResult
 from repro.errors import ClassifyError
 from repro.paths.count import PathCounts, count_paths
-from repro.paths.path import LogicalPath
+from repro.paths.path import LogicalPath, PhysicalPath
 from repro.util.timer import Stopwatch
 
 if TYPE_CHECKING:  # annotation-only; avoids a classify <-> sorting cycle
@@ -58,10 +66,13 @@ if TYPE_CHECKING:  # annotation-only; avoids a classify <-> sorting cycle
     from repro.classify.session import CircuitSession
     from repro.sorting.input_sort import InputSort
 
-#: Branch sentinel: this branch enters a PO — accept the path.
-_ACCEPT = object()
 #: Memo-table miss sentinel (``None`` is a meaningful cached value).
 _MISS = object()
+#: Depth-0 entry of the kernel's path stack: never controlling, so the
+#: root frame's pop credits no lead.
+_ROOT = [0, 0, (), -1, -1, False, -1, -1, 0]
+#: An entry's lead (slot 6), for rebuilding a path from the entry stack.
+_lead_of = itemgetter(6)
 
 
 class _Tables:
@@ -73,17 +84,17 @@ class _Tables:
     ``None``
         statically dead — the branch's condition closure is
         self-contradictory, every visit prunes;
-    :data:`_ACCEPT`
-        the branch enters a PO — every visit accepts;
-    otherwise a 10-slot list ``e``:
+    a 1-tuple ``(lead,)``
+        the branch enters a PO through ``lead`` — every visit accepts;
+    otherwise a 9-slot list ``e`` for the branch into gate ``dst``:
         ``e[0]``/``e[1]`` closure masks to force 1 / 0 (side-input
         conditions plus the new on-path output value, all statically
         closed), ``e[2]`` the next branch tuple
         (``branches[2 * dst + newval]``), ``e[3]``/``e[4]`` the
         precomputed complements ``~e[0]``/``~e[1]``, ``e[5]`` whether the
         on-path value is ``dst``'s controlling value, ``e[6]`` the lead,
-        ``e[7]`` a dense entry id (memo key), ``e[8]`` the on-path value
-        at ``dst``'s output and ``e[9]`` ``dst`` itself.
+        ``e[7]`` a dense entry id (memo key) and ``e[8]`` the on-path
+        value at ``dst``'s output.
 
     ``roots[2 * pi + x]`` is the settled state after assuming PI ``pi``
     carries ``x`` (``None`` if that assumption is already absurd) and
@@ -125,8 +136,8 @@ class _Tables:
                     lead = fanout_lead[i]
                     k = kind[dst]
                     if k == K_PO:
-                        out.append(_ACCEPT)
-                        tab[2 * lead + v] = _ACCEPT
+                        out.append((lead,))
+                        tab[2 * lead + v] = (lead,)
                         continue
                     if k == K_SIMPLE:
                         is_ctrl = v == ctrl[dst]
@@ -167,7 +178,6 @@ class _Tables:
                         lead,
                         len(entries),
                         newval,
-                        dst,
                     ]
                     entries.append(e)
                     out.append(e)
@@ -177,7 +187,6 @@ class _Tables:
             e[2] = branches[e[2]]
         self.branches = branches
         self.tab = tab
-        self._full_branches: list | None = None
         # Settled root state per (PI, assumed value); None = absurd.
         roots: dict[int, tuple | None] = {}
         lit_bad = clo.lit_bad
@@ -193,32 +202,6 @@ class _Tables:
                     flat, clo, lo, lz, clo.lit_no[L], clo.lit_nz[L], lo, lz
                 )
         self.roots = roots
-
-    def full_branches(self) -> list:
-        """Branch rows for the bookkeeping kernel: identical to
-        :attr:`branches` except PO branches carry their lead as a 1-tuple
-        so accepted paths can be reconstructed."""
-        fb = self._full_branches
-        if fb is None:
-            flat = self.flat
-            kind = flat.kind
-            fs = flat.fanout_start
-            fd = flat.fanout_dst
-            fl = flat.fanout_lead
-            fb = list(self.branches)
-            for g in range(flat.num_gates):
-                blo = fs[g]
-                if not any(
-                    kind[fd[i]] == K_PO for i in range(blo, fs[g + 1])
-                ):
-                    continue
-                for v in (0, 1):
-                    fb[2 * g + v] = tuple(
-                        (fl[blo + i],) if e is _ACCEPT else e
-                        for i, e in enumerate(self.branches[2 * g + v])
-                    )
-            self._full_branches = fb
-        return fb
 
 
 def _settle(
@@ -237,8 +220,8 @@ def _settle(
     Returns the settled ``(ones, zeros, no, nz)`` state, or ``None`` on a
     contradiction.  The rule set is monotone, so the fixpoint is unique
     regardless of worklist order.  This out-of-line version serves root
-    states, single-path walks and the bookkeeping kernel; the fast kernel
-    inlines the same loop.
+    states and single-path walks; the DFS kernel (:func:`_dfs`) inlines
+    the same loop.
     """
     ctrl = flat.ctrl
     out_ctrl = flat.out_ctrl
@@ -312,15 +295,19 @@ def _settle(
     return (ones, zeros, no, nz)
 
 
-def _run_fast(
-    tables: _Tables, max_accepted: int | None
+def _dfs(
+    tables: _Tables,
+    max_accepted: int | None,
+    on_path: Callable[[LogicalPath], None] | None,
 ) -> tuple[int, int, list[int]]:
-    """The hot kernel: counts only (no per-path bookkeeping).
+    """Algorithm 2's DFS: returns ``(accepted, edges, lead_counts)``.
 
     Everything is local variables and int ops; the conditional-rule
     worklist of :func:`_settle` is inlined.  The conflict check MUST
     precede the new-bits test when merging an entry — bits that are all
-    "already known" can still sit on the wrong side.
+    "already known" can still sit on the wrong side.  The memo only
+    short-circuits state computation, never the traversal, so the entry
+    stack — and with it the lead counts and ``on_path`` — stays exact.
     """
     flat = tables.flat
     clo = tables.closures
@@ -342,12 +329,16 @@ def _run_fast(
     branches = tables.branches
     roots = tables.roots
     limit = float("inf") if max_accepted is None else max_accepted
+    tup = tuple  # a local is cheaper than the builtin lookup per edge
     memo: dict = {}
     accepted = 0
     edges = 0
+    lead_counts = [0] * flat.num_leads
     maxd = flat.num_gates + 2
     it_stk: list = [None] * maxd
     st_stk: list = [None] * maxd
+    ent_stk: list = [None] * maxd
+    ent_stk[0] = _ROOT
     ones = zeros = 0
     no = nz = -1
     for pi in flat.inputs:
@@ -365,18 +356,24 @@ def _run_fast(
                     s = st_stk[d]
                     if s is not None:
                         ones, zeros, no, nz = s
+                    p = ent_stk[d]
+                    if p[5]:
+                        lead_counts[p[6]] += accepted
                     d -= 1
                     continue
                 edges += 1
                 if e is None:
                     continue
-                if e is _ACCEPT:
+                if e.__class__ is tup:  # (lead,) into a PO: accept
                     accepted += 1
                     if accepted > limit:
                         raise ClassifyError(
                             f"more than {max_accepted} paths accepted; "
                             "raise max_accepted or use a smaller circuit"
                         )
+                    if on_path is not None:
+                        leads = tuple(map(_lead_of, ent_stk[1 : d + 1])) + e
+                        on_path(LogicalPath(PhysicalPath(leads), x))
                     continue
                 o = e[0]
                 z = e[1]
@@ -460,124 +457,21 @@ def _run_fast(
                             continue
                         memo[kt] = (ones, zeros, no, nz)
                         d += 1
-                        it_stk[d] = iter(e[2])
                         st_stk[d] = snap
                     elif r is None:
                         continue
                     else:
-                        st_stk[d + 1] = (ones, zeros, no, nz)
                         d += 1
+                        st_stk[d] = (ones, zeros, no, nz)
                         ones, zeros, no, nz = r
-                        it_stk[d] = iter(e[2])
                 else:
                     # nothing new to assign: extension trivially consistent
                     d += 1
-                    it_stk[d] = iter(e[2])
                     st_stk[d] = None
-    return accepted, edges, []
-
-
-def _run_full(
-    tables: _Tables,
-    collect_lead_counts: bool,
-    max_accepted: int | None,
-    on_path: Callable[[LogicalPath], None] | None,
-) -> tuple[int, int, list[int]]:
-    """The bookkeeping kernel: same traversal as :func:`_run_fast`, plus
-    the lead/controlling stacks needed for ``lead_ctrl_counts`` and
-    ``on_path`` reconstruction.  The memo only short-circuits state
-    computation, never the traversal, so per-path bookkeeping stays
-    exact."""
-    from repro.paths.path import PhysicalPath  # local: rarely used
-
-    flat = tables.flat
-    clo = tables.closures
-    branches = tables.full_branches()
-    roots = tables.roots
-    limit = float("inf") if max_accepted is None else max_accepted
-    memo: dict = {}
-    accepted = 0
-    edges = 0
-    lead_counts = [0] * flat.num_leads if collect_lead_counts else []
-    ctrl_stack: list[tuple[int, bool]] = []
-    path_stack: list[int] = []
-    maxd = flat.num_gates + 2
-    it_stk: list = [None] * maxd
-    st_stk: list = [None] * maxd
-    for pi in flat.inputs:
-        for x in (1, 0):
-            st = roots[2 * pi + x]
-            if st is None:
-                continue
-            ones, zeros, no, nz = st
-            d = 0
-            it_stk[0] = iter(branches[2 * pi + x])
-            st_stk[0] = None
-            while d >= 0:
-                e = next(it_stk[d], False)
-                if e is False:
-                    s = st_stk[d]
-                    if s is not None:
-                        ones, zeros, no, nz = s
-                    if d > 0:
-                        path_stack.pop()
-                        ctrl_stack.pop()
-                    d -= 1
-                    continue
-                edges += 1
-                if e is None:
-                    continue
-                if e.__class__ is tuple:  # (lead,) into a PO: accept
-                    accepted += 1
-                    if accepted > limit:
-                        raise ClassifyError(
-                            f"more than {max_accepted} paths accepted; "
-                            "raise max_accepted or use a smaller circuit"
-                        )
-                    if collect_lead_counts:
-                        for l2, is_c in ctrl_stack:
-                            if is_c:
-                                lead_counts[l2] += 1
-                    if on_path is not None:
-                        on_path(
-                            LogicalPath(
-                                PhysicalPath(tuple(path_stack) + (e[0],)), x
-                            )
-                        )
-                    continue
-                o = e[0]
-                z = e[1]
-                t1 = o & no
-                t0 = z & nz
-                if t1 or t0:
-                    kt = (e[7], ones, zeros)
-                    r = memo.get(kt, _MISS)
-                    if r is _MISS:
-                        if o & zeros or z & ones:
-                            memo[kt] = None
-                            continue
-                        snap = (ones, zeros, no, nz)
-                        r = _settle(
-                            flat, clo, ones | o, zeros | z, no & e[3],
-                            nz & e[4], t1, t0,
-                        )
-                        memo[kt] = r
-                        if r is None:
-                            continue
-                        st_stk[d + 1] = snap
-                    elif r is None:
-                        continue
-                    else:
-                        st_stk[d + 1] = (ones, zeros, no, nz)
-                    d += 1
-                    ones, zeros, no, nz = r
-                    it_stk[d] = iter(branches[2 * e[9] + e[8]])
-                else:
-                    d += 1
-                    it_stk[d] = iter(branches[2 * e[9] + e[8]])
-                    st_stk[d] = None
-                ctrl_stack.append((e[6], e[5]))
-                path_stack.append(e[6])
+                it_stk[d] = iter(e[2])
+                ent_stk[d] = e
+                if e[5]:
+                    lead_counts[e[6]] -= accepted
     return accepted, edges, lead_counts
 
 
@@ -591,22 +485,18 @@ def _run(
     on_path: Callable[[LogicalPath], None] | None,
 ) -> ClassificationResult:
     """The enumeration core shared by :func:`classify` and
-    :class:`~repro.classify.session.CircuitSession`: dispatch to the
-    counting or bookkeeping kernel and wrap the result."""
+    :class:`~repro.classify.session.CircuitSession`: run the kernel and
+    wrap the result; ``collect_lead_counts`` only decides whether the
+    result carries the lead counts."""
     with Stopwatch() as sw:
-        if collect_lead_counts or on_path is not None:
-            accepted, edges, lead_counts = _run_full(
-                tables, collect_lead_counts, max_accepted, on_path
-            )
-        else:
-            accepted, edges, lead_counts = _run_fast(tables, max_accepted)
+        accepted, edges, lead_counts = _dfs(tables, max_accepted, on_path)
     return ClassificationResult(
         circuit_name=circuit.name,
         criterion=criterion,
         total_logical=counts.total_logical,
         accepted=accepted,
         elapsed=sw.elapsed,
-        lead_ctrl_counts=lead_counts,
+        lead_ctrl_counts=lead_counts if collect_lead_counts else [],
         edges_visited=edges,
     )
 
@@ -629,10 +519,12 @@ def classify(
         the input sort π; required for ``Criterion.SIGMA_PI``, ignored
         otherwise.
     collect_lead_counts:
-        additionally accumulate, per lead, the number of accepted logical
+        also return, per lead, the number of accepted logical
         paths whose final value at the lead is the destination gate's
         controlling value (``|·_c^sup(l)|`` — the cost measures of
-        Algorithm 3).  Costs O(path length) extra per accepted path.
+        Algorithm 3).  The kernel counts them on every pass at O(1) per
+        DFS frame; the flag only decides whether the result (and a
+        session's store row) carries them.
     max_accepted:
         abort with :class:`~repro.errors.ClassifyError` (a
         ``RuntimeError`` subclass) once more than this many paths
@@ -727,7 +619,7 @@ def check_logical_path_tables(
     tab = tables.tab
     for lead in logical_path.path.leads:
         e = tab[2 * lead + val]
-        if e is _ACCEPT:
+        if e.__class__ is tuple:  # (lead,) into a PO
             return True
         if e is None:
             return False

@@ -11,7 +11,7 @@ oracle*: both engines perform exactly the same deduction per extension —
 the bitset kernel just precomputes the closure of the unconditional rules
 — so ``accepted``, ``edges_visited``, ``lead_ctrl_counts`` and the DFS
 acceptance order must match bit for bit on every circuit.  A mismatch
-means a bug in the fast kernel, never an accepted difference.
+means a bug in the bitset kernel, never an accepted difference.
 
 Roughly an order of magnitude slower than the production engine; use only
 in tests and cross-checks.

@@ -152,6 +152,8 @@ class VerdictOracle:
         self.pool = WitnessPool(
             self.encoder.gate_vars, self.encoder.encoding.cnf.num_vars
         )
+        #: witnesses replayed and checked by this oracle, pooled or solved
+        self.replays = 0
 
     def decide(
         self,
@@ -229,6 +231,7 @@ class VerdictOracle:
                 f"path {logical_path.describe(self.circuit)} under "
                 f"{criterion.name} — encoder and criterion disagree"
             )
+        self.replays += 1
         get_registry().counter("verdict.witness_replays").inc()
 
     def solver_stats(self) -> dict:

@@ -261,15 +261,13 @@ def _verdict_chunk_task(payload):
     sort = None if ranks is None else InputSort(circuit, ranks)
     oracle = VerdictOracle(circuit, max_conflicts=max_conflicts)
     sat = 0
-    replays = 0
     for leads, final_value in raw_paths:
         lp = LogicalPath(PhysicalPath(tuple(leads)), final_value)
-        verdict = oracle.decide(lp, criterion, sort)
-        if verdict.in_set:
+        if oracle.decide(lp, criterion, sort).in_set:
             sat += 1
-            replays += 1
     stats = oracle.solver.stats
-    return (sat, replays, stats.conflicts, stats.decisions, stats.learned_reuse)
+    return (sat, oracle.replays, stats.conflicts, stats.decisions,
+            stats.learned_reuse)
 
 
 # -- store plumbing -----------------------------------------------------

@@ -82,6 +82,27 @@ class TestLeadCounts:
             assert result.lead_ctrl_counts == manual
 
 
+class TestLeadCountsAtScale:
+    """Lead counts are credited when DFS frames pop, so a subtree the
+    memo revisits many times must still credit every accepted path.
+    s1355-par reuses the memo heavily (13,616 accepted paths);
+    s2670-rand's FS pass accepts 49,088."""
+
+    @pytest.mark.parametrize("name", ["s1355-par", "s2670-rand"])
+    @pytest.mark.parametrize("criterion", [Criterion.FS, Criterion.NR])
+    def test_matches_reference(self, name, criterion):
+        from repro.classify.reference import classify_reference
+        from repro.gen.suite import get_circuit
+
+        circuit = get_circuit(name)
+        got = classify(circuit, criterion, collect_lead_counts=True)
+        want = classify_reference(circuit, criterion, collect_lead_counts=True)
+        assert got.accepted == want.accepted
+        assert got.edges_visited == want.edges_visited
+        assert got.lead_ctrl_counts == want.lead_ctrl_counts
+        assert any(got.lead_ctrl_counts)
+
+
 class TestSigmaPiOnExample:
     def test_pin_order_accepts_all(self, example_circuit):
         sort = InputSort.pin_order(example_circuit)

@@ -50,6 +50,26 @@ class TestInvariants:
             assert row.witness_replays == row.exact_accepted
             assert not row.skipped
 
+    def test_chunk_counts_the_replays_its_oracle_made(self, monkeypatch):
+        """A chunk reports its oracle's replays, not one per SAT
+        verdict: with the replay stubbed out it reports none."""
+        from repro.verdict.oracle import DEFAULT_MAX_CONFLICTS, VerdictOracle
+        from repro.verdict.tightness import _verdict_chunk_task
+
+        circuit = get_circuit("c17")
+        paths = []
+        CircuitSession(circuit).classify(
+            Criterion.FS,
+            on_path=lambda lp: paths.append((lp.path.leads, lp.final_value)),
+        )
+        payload = (circuit, "FS", None, paths, DEFAULT_MAX_CONFLICTS)
+        sat, replays, *_ = _verdict_chunk_task(payload)
+        assert replays == sat > 0
+        monkeypatch.setattr(VerdictOracle, "_certify", lambda self, *a: None)
+        sat, replays, *_ = _verdict_chunk_task(payload)
+        assert sat > 0
+        assert replays == 0
+
     def test_row_counts_match_classifier(self):
         circuit = get_circuit("c17")
         row = tightness_row(circuit, Criterion.SIGMA_PI, "heu2")
