@@ -14,7 +14,16 @@ share a first-class, reusable artifact instead of per-call scratch:
 * the static per-lead bitset condition tables are cached per
   ``(criterion, sort)`` — the inverted-Heu2 control pass, for example,
   shares nothing with the forward pass, but repeated passes with the
-  same sort (re-runs, benches, coverage studies) hit the cache.
+  same sort (re-runs, benches, coverage studies) hit the cache;
+* the last completed FS and NR passes are held, and a SIGMA_PI pass
+  needs no DFS when they agree (Lemma 1's sandwich): the supersets
+  nest NR ⊆ LP(σ^π) ⊆ FS for every sort, so equal FS and NR
+  ``accepted`` and ``edges_visited`` fix σ^π's too, and its lead
+  counts with them.  On XOR-, parity- and adder-heavy circuits this
+  makes Heuristic 2's final pass and the inverted control pass free.
+  Streaming (``on_path``) passes always run the DFS; an implied pass
+  counts in the ``classify.implied_passes`` registry counter, not in
+  ``engine.edges_visited``.
 
 Sessions are deliberately cheap to create (all caches are lazy), purely
 per-process (they are *not* sent across the
@@ -158,6 +167,8 @@ class CircuitSession:
     _counts: PathCounts | None = field(default=None, repr=False)
     _tables: dict = field(default_factory=dict, repr=False)
     _canon: "CanonicalForm | None" = field(default=None, repr=False)
+    #: the last completed FS and NR passes, by criterion
+    _bounds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.circuit, Circuit):
@@ -308,6 +319,47 @@ class CircuitSession:
             edges_visited=int(payload["edges_visited"]),
         )
 
+    def _remember(self, result: ClassificationResult) -> None:
+        """Keep a completed FS or NR pass for :meth:`_sandwiched`."""
+        if result.criterion is not Criterion.SIGMA_PI:
+            self._bounds[result.criterion] = result
+
+    def _sandwiched(
+        self, collect_lead_counts: bool, max_accepted: "int | None"
+    ) -> "ClassificationResult | None":
+        """A SIGMA_PI pass answered by Lemma 1, or ``None``.
+
+        Per lead the conditions nest NR ⊇ σ^π ⊇ FS, so the DFS prefixes
+        that stay alive nest NR ⊆ σ^π ⊆ FS for every sort.  ``accepted``
+        and ``edges_visited`` are sums over those prefixes: when the
+        held FS and NR passes agree on both, σ^π's sums equal them, and
+        so do its lead counts, which depend only on the accepted paths.
+        """
+        fs = self._bounds.get(Criterion.FS)
+        nr = self._bounds.get(Criterion.NR)
+        if (
+            fs is None
+            or nr is None
+            or fs.accepted != nr.accepted
+            or fs.edges_visited != nr.edges_visited
+            or (max_accepted is not None and fs.accepted > max_accepted)
+            or (
+                collect_lead_counts
+                and len(fs.lead_ctrl_counts) != self.circuit.num_leads
+            )
+        ):
+            return None
+        return ClassificationResult(
+            circuit_name=self.circuit.name,
+            criterion=Criterion.SIGMA_PI,
+            total_logical=fs.total_logical,
+            accepted=fs.accepted,
+            lead_ctrl_counts=(
+                list(fs.lead_ctrl_counts) if collect_lead_counts else []
+            ),
+            edges_visited=fs.edges_visited,
+        )
+
     def classify(
         self,
         criterion: Criterion,
@@ -330,6 +382,13 @@ class CircuitSession:
         the enumeration at all.  ``on_path`` passes bypass the store
         (the paths themselves are not cached); an aborted pass is never
         written back.
+
+        A SIGMA_PI pass without ``on_path`` is also answered without a
+        DFS when the session holds completed FS and NR passes with equal
+        ``accepted`` and ``edges_visited`` (see the module docstring),
+        the budget admits that count and, if lead counts are asked for,
+        the FS pass carries them.  The answer (``elapsed`` 0) is written
+        to the store like a computed pass.
 
         ``cones=True`` switches to cone granularity
         (:func:`repro.incremental.reanalyze.cone_classify`): each output
@@ -375,29 +434,41 @@ class CircuitSession:
                 ),
             )
             if cached is not None:
+                self._remember(cached)
                 return cached
-        tables = self.tables(criterion, sort)
-        try:
-            with span(
-                "classify.pass",
-                circuit=self.circuit.name,
-                criterion=criterion.name,
-            ):
-                result = _run(
-                    self.circuit,
-                    criterion,
-                    tables,
-                    self.counts,
-                    collect_lead_counts,
-                    max_accepted,
-                    on_path,
-                )
-        except ClassifyError:
-            self.stats.bump("budget_aborts")
-            raise
-        registry = get_registry()
-        registry.counter("engine.edges_visited").inc(result.edges_visited)
-        registry.counter("classify.accepted").inc(result.accepted)
+        result = None
+        if (
+            criterion is Criterion.SIGMA_PI
+            and sort is not None
+            and on_path is None
+        ):
+            result = self._sandwiched(collect_lead_counts, max_accepted)
+        if result is None:
+            tables = self.tables(criterion, sort)
+            try:
+                with span(
+                    "classify.pass",
+                    circuit=self.circuit.name,
+                    criterion=criterion.name,
+                ):
+                    result = _run(
+                        self.circuit,
+                        criterion,
+                        tables,
+                        self.counts,
+                        collect_lead_counts,
+                        max_accepted,
+                        on_path,
+                    )
+            except ClassifyError:
+                self.stats.bump("budget_aborts")
+                raise
+            registry = get_registry()
+            registry.counter("engine.edges_visited").inc(result.edges_visited)
+            registry.counter("classify.accepted").inc(result.accepted)
+            self._remember(result)
+        else:
+            get_registry().counter("classify.implied_passes").inc()
         if use_store:
             payload = {
                 "total_logical": result.total_logical,
@@ -471,7 +542,9 @@ class CircuitSession:
 
         ``max_accepted`` bounds the Heu2 FS and NR passes, FS first: the
         supersets keep Lemma 1's order NR ⊆ LP(σ^π) ⊆ FS, so a completed
-        budgeted FS pass leaves no later pass room to overflow."""
+        budgeted FS pass leaves no later pass room to overflow.  The
+        same order lets :meth:`classify` answer a SIGMA_PI pass under
+        this sort without a DFS once the FS and NR passes agree."""
         from repro.sorting.input_sort import InputSort
 
         if kind not in SORT_KINDS:

@@ -14,7 +14,9 @@ All passes of one row run through a single
 counts are computed once and condition tables are reused across passes.
 Timings
 follow the paper's accounting: Heu1 = sort + one classification pass;
-Heu2 = three classification passes + sort.
+Heu2 = three classification passes + sort, the last one answered
+without a DFS where FS^sup = NR^sup (Lemma 1; see
+:class:`~repro.classify.session.CircuitSession`).
 
 Multi-circuit runs fan out through the supervised
 :class:`~repro.experiments.supervisor.TaskRunner` when ``jobs > 1`` (one

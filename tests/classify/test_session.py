@@ -9,6 +9,8 @@ from repro.classify.session import CircuitSession
 from repro.errors import ClassifyError
 from repro.experiments.harness import run_table1_row
 from repro.gen.random_logic import random_dag
+from repro.gen.suite import get_circuit
+from repro.obs import get_registry
 from repro.sorting.heuristics import heuristic2_analysis
 from repro.sorting.input_sort import InputSort
 
@@ -112,6 +114,167 @@ class TestEquivalence:
         session = CircuitSession(circuit)
         result = classify(circuit, Criterion.FS, counts=session.counts)
         assert result.total_logical == session.counts.total_logical
+
+
+def _implied_passes():
+    return get_registry().counter("classify.implied_passes").value
+
+
+def _edges_counter():
+    return get_registry().counter("engine.edges_visited").value
+
+
+class TestLemma1Sandwich:
+    """A SIGMA_PI pass is answered from the session's FS and NR passes
+    when they agree (c17's do), and runs the DFS in every other case."""
+
+    @pytest.fixture
+    def agreeing(self):
+        session = CircuitSession(get_circuit("c17"))
+        fs = session.classify(Criterion.FS, collect_lead_counts=True)
+        nr = session.classify(Criterion.NR, collect_lead_counts=True)
+        assert (fs.accepted, fs.edges_visited) == (nr.accepted, nr.edges_visited)
+        return session, fs
+
+    def test_implied_pass_builds_no_tables_and_counts_no_edges(self, agreeing):
+        session, fs = agreeing
+        sort = InputSort.pin_order(session.circuit)
+        built, implied, edges = (
+            session.stats.tables_built, _implied_passes(), _edges_counter()
+        )
+        result = session.classify(
+            Criterion.SIGMA_PI, sort=sort, collect_lead_counts=True
+        )
+        assert session.stats.tables_built == built
+        assert _implied_passes() == implied + 1
+        assert _edges_counter() == edges
+        assert session.stats.classify_passes == 3
+        fresh = classify(
+            session.circuit, Criterion.SIGMA_PI, sort=sort,
+            collect_lead_counts=True,
+        )
+        assert result.accepted == fresh.accepted == fs.accepted
+        assert result.edges_visited == fresh.edges_visited
+        assert result.lead_ctrl_counts == fresh.lead_ctrl_counts
+        assert result.criterion is Criterion.SIGMA_PI
+
+    def test_on_path_pass_still_runs_the_dfs(self, agreeing):
+        session, _ = agreeing
+        sort = InputSort.pin_order(session.circuit)
+        implied = _implied_passes()
+        streamed: list = []
+        result = session.classify(
+            Criterion.SIGMA_PI, sort=sort, on_path=streamed.append
+        )
+        expected: list = []
+        classify(session.circuit, Criterion.SIGMA_PI, sort=sort,
+                 on_path=expected.append)
+        assert streamed == expected
+        assert len(streamed) == result.accepted
+        assert session.stats.tables_built == 3
+        assert _implied_passes() == implied
+
+    def test_budget_below_fs_still_aborts(self, agreeing):
+        session, fs = agreeing
+        sort = InputSort.pin_order(session.circuit)
+        with pytest.raises(ClassifyError):
+            session.classify(
+                Criterion.SIGMA_PI, sort=sort, max_accepted=fs.accepted - 1
+            )
+        assert session.stats.budget_aborts == 1
+        # a budget the held passes fit is answered without a DFS
+        implied = _implied_passes()
+        result = session.classify(
+            Criterion.SIGMA_PI, sort=sort, max_accepted=fs.accepted
+        )
+        assert result.accepted == fs.accepted
+        assert _implied_passes() == implied + 1
+
+    def test_missing_sort_still_raises(self, agreeing):
+        session, _ = agreeing
+        with pytest.raises(ValueError, match="requires an input sort"):
+            session.classify(Criterion.SIGMA_PI)
+
+    def test_lead_counts_need_an_fs_pass_that_carries_them(self):
+        session = CircuitSession(get_circuit("c17"))
+        session.classify(Criterion.FS)
+        session.classify(Criterion.NR)
+        sort = InputSort.pin_order(session.circuit)
+        implied = _implied_passes()
+        result = session.classify(
+            Criterion.SIGMA_PI, sort=sort, collect_lead_counts=True
+        )
+        assert _implied_passes() == implied
+        assert result.lead_ctrl_counts == classify(
+            session.circuit, Criterion.SIGMA_PI, sort=sort,
+            collect_lead_counts=True,
+        ).lead_ctrl_counts
+
+    def test_fs_alone_builds_sigma_tables(self):
+        session = CircuitSession(get_circuit("c17"))
+        session.classify(Criterion.FS)
+        implied = _implied_passes()
+        session.classify(
+            Criterion.SIGMA_PI, sort=InputSort.pin_order(session.circuit)
+        )
+        assert session.stats.tables_built == 2
+        assert _implied_passes() == implied
+
+    def test_fs_differing_from_nr_builds_sigma_tables(self, circuit):
+        session = CircuitSession(circuit)
+        fs = session.classify(Criterion.FS)
+        nr = session.classify(Criterion.NR)
+        assert fs.accepted != nr.accepted
+        implied = _implied_passes()
+        sort = InputSort.pin_order(circuit)
+        result = session.classify(Criterion.SIGMA_PI, sort=sort)
+        assert session.stats.tables_built == 3
+        assert _implied_passes() == implied
+        assert result.accepted == classify(
+            circuit, Criterion.SIGMA_PI, sort=sort
+        ).accepted
+
+    def test_aborted_pass_is_not_held(self):
+        session = CircuitSession(get_circuit("c17"))
+        session.classify(Criterion.FS)
+        with pytest.raises(ClassifyError):
+            session.classify(Criterion.NR, max_accepted=1)
+        implied = _implied_passes()
+        session.classify(
+            Criterion.SIGMA_PI, sort=InputSort.pin_order(session.circuit)
+        )
+        assert _implied_passes() == implied
+
+    def test_implied_pass_lands_in_the_store(self, tmp_path):
+        from repro.store.db import ResultStore
+
+        circuit = get_circuit("c17")
+        sort = InputSort.pin_order(circuit)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            cold = CircuitSession(circuit, store=store)
+            cold.classify(Criterion.FS, collect_lead_counts=True)
+            cold.classify(Criterion.NR, collect_lead_counts=True)
+            implied = _implied_passes()
+            first = cold.classify(
+                Criterion.SIGMA_PI, sort=sort, collect_lead_counts=True
+            )
+            assert _implied_passes() == implied + 1
+            variant = cold._classify_variant(Criterion.SIGMA_PI, sort)
+            payload = store.get(cold.fingerprint, "classify", variant)
+            assert payload["accepted"] == first.accepted
+            assert payload["edges_visited"] == first.edges_visited
+
+            warm = CircuitSession(circuit, store=store)
+            again = warm.classify(
+                Criterion.SIGMA_PI, sort=sort, collect_lead_counts=True
+            )
+            assert warm.stats.store_hits == 1
+            assert warm.stats.tables_built == 0
+            assert warm.stats.count_paths_calls == 0
+            assert store.get(warm.fingerprint, "classify", variant) == payload
+        assert (again.accepted, again.edges_visited, again.lead_ctrl_counts) == (
+            first.accepted, first.edges_visited, first.lead_ctrl_counts
+        )
 
 
 class TestSortingConvenience:

@@ -3,6 +3,7 @@ Lemma 1, Lemma 2) on random circuits."""
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,8 @@ from repro.classify.conditions import Criterion
 from repro.classify.engine import check_logical_path, classify
 from repro.classify.exact import exact_lp_sigma, exact_path_set
 from repro.classify.session import CircuitSession
+from repro.gen.suite import get_circuit
+from repro.obs import get_registry
 from repro.paths.enumerate import enumerate_logical_paths
 from repro.sorting.heuristics import heuristic1_sort, random_sort
 from repro.sorting.input_sort import InputSort
@@ -94,6 +97,52 @@ def test_sigma_between_nr_and_fs_supersets(circuit, seed):
 
 def test_sigma_between_supersets_on_s27_scan_core():
     _assert_superset_order(loading.as_core(S27), range(8))
+
+
+def _kernel(circuit, criterion, sort=None):
+    """One pass of the bare kernel: no session, so no Lemma-1 shortcut."""
+    return classify(circuit, criterion, sort=sort, collect_lead_counts=True)
+
+
+def _assert_sandwich_exact(circuit, seeds):
+    """The kernel's edge counts nest NR ≤ σ^π ≤ FS under every sort, and
+    whenever FS and NR agree, the session's σ^π answer (given without a
+    DFS) equals the kernel's accepted, edge and lead counts."""
+    session = CircuitSession(circuit)
+    sorts = {kind: session.sort(kind) for kind in ("pin", "heu1", "heu2", "heu2inv")}
+    for seed in seeds:
+        sorts[f"random:{seed}"] = random_sort(circuit, seed=seed)
+    fs = _kernel(circuit, Criterion.FS)
+    nr = _kernel(circuit, Criterion.NR)
+    agree = (fs.accepted, fs.edges_visited) == (nr.accepted, nr.edges_visited)
+    implied = get_registry().counter("classify.implied_passes")
+    for label, sort in sorts.items():
+        kernel = _kernel(circuit, Criterion.SIGMA_PI, sort)
+        assert nr.edges_visited <= kernel.edges_visited <= fs.edges_visited, label
+        before = implied.value
+        answer = session.classify(
+            Criterion.SIGMA_PI, sort=sort, collect_lead_counts=True
+        )
+        assert implied.value - before == agree, label
+        assert answer.accepted == kernel.accepted, label
+        assert answer.edges_visited == kernel.edges_visited, label
+        assert answer.lead_ctrl_counts == kernel.lead_ctrl_counts, label
+    return agree
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuit=small_circuits(max_gates=12), seed=st.integers(0, 2**16))
+def test_sandwiched_sigma_matches_kernel(circuit, seed):
+    _assert_sandwich_exact(circuit, [seed])
+
+
+@pytest.mark.parametrize(
+    "name", ["c17", "s1355-par", "s1908-csel", "s5315-rca"]
+)
+def test_sandwiched_sigma_matches_kernel_on_suite(name):
+    """Circuits whose FS and NR supersets coincide: every σ^π pass of
+    the session is answered by Lemma 1, and must equal the kernel's."""
+    assert _assert_sandwich_exact(get_circuit(name), range(2))
 
 
 @settings(max_examples=20, deadline=None)
