@@ -40,6 +40,10 @@ class Criterion(enum.Enum):
         return self is Criterion.SIGMA_PI
 
 
+#: the criterion names the CLI and the service wire accept
+CRITERIA = {"fs": Criterion.FS, "nr": Criterion.NR, "sigma": Criterion.SIGMA_PI}
+
+
 def required_side_pins(
     criterion: Criterion,
     circuit: Circuit,

@@ -126,7 +126,7 @@ class SessionStats:
                 f"store={self.store_hits}/{total} hit"
                 f" ({100.0 * self.store_hits / total:.0f}%)"
             )
-        else:
+        elif not (self.cone_hits or self.cone_misses):
             parts.append("store=off")
         if self.cone_hits or self.cone_misses:
             total = self.cone_hits + self.cone_misses
@@ -367,7 +367,6 @@ class CircuitSession:
         collect_lead_counts: bool = False,
         max_accepted: int | None = None,
         on_path: "Callable[[LogicalPath], None] | None" = None,
-        cones: bool = False,
     ) -> ClassificationResult:
         """One classification pass through the session caches.
 
@@ -390,37 +389,10 @@ class CircuitSession:
         the FS pass carries them.  The answer (``elapsed`` 0) is written
         to the store like a computed pass.
 
-        ``cones=True`` switches to cone granularity
-        (:func:`repro.incremental.reanalyze.cone_classify`): each output
-        cone is classified independently and read through from / written
-        back to the store's ``kind="cone"`` rows, so an edited netlist
-        reuses every untouched cone's rows.  The aggregate
-        accepted/total counts decompose exactly; ``max_accepted``
-        becomes a per-cone budget, ``elapsed`` sums per-cone CPU time,
-        and ``edges_visited`` counts the per-cone DFS work (cone runs
-        share no cross-cone memo, so the figure is comparable only to
-        other cone-granularity runs).  Streaming and per-lead collection
-        stay whole-circuit concerns: ``on_path`` or
-        ``collect_lead_counts`` with ``cones=True`` raise
-        :class:`ValueError`.
+        Cone granularity (each output cone classified on its own and
+        read through from / written back to the store's ``kind="cone"``
+        rows) is :func:`repro.incremental.reanalyze.cone_classify`.
         """
-        if cones:
-            if on_path is not None or collect_lead_counts:
-                raise ValueError(
-                    "cones=True classifies per extracted cone; per-lead "
-                    "counts and on_path streaming are whole-circuit only"
-                )
-            from repro.incremental.reanalyze import cone_classify
-
-            self.stats.bump("classify_passes")
-            return cone_classify(
-                self.circuit,
-                criterion=criterion,
-                sort=sort,
-                max_accepted=max_accepted,
-                store=self.store,
-                session_stats=self.stats,
-            ).result
         self.stats.bump("classify_passes")
         use_store = self.store is not None and on_path is None
         variant = ""

@@ -34,18 +34,17 @@ from repro import loading
 from repro.baseline.exact_assignment import baseline_rd
 from repro.circuit.netlist import Circuit
 from repro.circuit.stats import circuit_stats, internal_fanout_count
-from repro.classify.conditions import Criterion
-from repro.classify.session import SORT_KINDS, CircuitSession
+from repro.classify.conditions import CRITERIA, Criterion
+from repro.classify.session import (
+    SORT_KINDS,
+    CircuitSession,
+    format_session_stats,
+)
+from repro.errors import ReproError
 from repro.gen.suite import SUITE
 from repro.obs import export_jsonl, format_metrics, get_registry
 from repro.sorting.heuristics import random_sort
 from repro.util.serialize import classification_payload, info_payload, to_json
-
-_CRITERIA = {
-    "fs": Criterion.FS,
-    "nr": Criterion.NR,
-    "sigma": Criterion.SIGMA_PI,
-}
 
 
 def package_version() -> str:
@@ -183,16 +182,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.remote is not None:
         return _classify_remote(args)
     _warn_ignored(args, "classify", "--checkpoint", "--resume")
-    circuit = load_circuit(args.circuit)
-    criterion = _CRITERIA[args.criterion]
-    session = None
+    session = CircuitSession(load_circuit(args.circuit), store=args.store)
+    criterion = CRITERIA[args.criterion]
     sort_used = None
     if args.jobs > 1 and criterion is not Criterion.SIGMA_PI:
         # FS/NR decompose per PO cone (every path lies in exactly one
         # cone), so --jobs fans the cones out across a supervised pool
-        from repro.experiments.harness import classify_cones
+        from repro.incremental import cone_classify
 
-        result = classify_cones(circuit, criterion, jobs=args.jobs)
+        result = cone_classify(
+            session.circuit,
+            criterion,
+            max_accepted=args.max_accepted,
+            store=session.store,
+            jobs=args.jobs,
+            session_stats=session.stats,
+        ).result
     else:
         if args.jobs > 1:
             print(
@@ -200,7 +205,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "(the input sort is global); running in-process",
                 file=sys.stderr,
             )
-        session = CircuitSession(circuit, store=args.store)
         sort = None
         if criterion is Criterion.SIGMA_PI:
             sort = _make_sort(session, args.sort, args.seed, args.max_accepted)
@@ -211,19 +215,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.json:
         print(to_json(classification_payload(
             result,
-            fingerprint=session.fingerprint if session is not None else None,
+            fingerprint=session.fingerprint,
             sort_kind=sort_used,
-            session_stats=(
-                session.stats.to_dict() if session is not None else None
-            ),
+            session_stats=session.stats.to_dict(),
         )))
         return 0
     print(result)
     if args.verbose:
-        from repro.classify.session import format_session_stats
-
-        if session is not None:
-            print(format_session_stats(session.stats.to_dict()))
+        print(format_session_stats(session.stats.to_dict()))
         _print_metrics_summary()
     return 0
 
@@ -240,26 +239,20 @@ def _remote_circuit(spec: str) -> "Circuit | str":
 
 def _classify_remote(args: argparse.Namespace) -> int:
     """``classify --remote``: send the request to a running daemon."""
-    from repro.classify.session import format_session_stats
-    from repro.errors import ReproError
     from repro.service.client import RetryPolicy, ServiceClient
 
     events = []
-    try:
-        # bounded retry with jittered backoff: a fleet worker respawning
-        # (or a daemon restart) is invisible to the CLI user
-        with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
-            result = client.classify(
-                circuit=_remote_circuit(args.circuit),
-                criterion=args.criterion,
-                # --sort applies to sigma only; fs/nr requests leave it out
-                sort=args.sort if args.criterion == "sigma" else None,
-                max_accepted=args.max_accepted,
-                on_event=events.append if args.verbose else None,
-            )
-    except ReproError as exc:
-        print(f"remote classify failed: {exc}", file=sys.stderr)
-        return 1
+    # bounded retry with jittered backoff: a fleet worker respawning
+    # (or a daemon restart) is invisible to the CLI user
+    with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
+        result = client.classify(
+            circuit=_remote_circuit(args.circuit),
+            criterion=args.criterion,
+            # --sort applies to sigma only; fs/nr requests leave it out
+            sort=args.sort if args.criterion == "sigma" else None,
+            max_accepted=args.max_accepted,
+            on_event=events.append if args.verbose else None,
+        )
     if getattr(args, "json", False):
         print(to_json(result))
         return 0
@@ -375,15 +368,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Render a telemetry snapshot — the daemon's (``--remote``) or this
     process's registry (mostly useful under ``--json`` for tooling)."""
     if args.remote is not None:
-        from repro.errors import ServiceError
         from repro.service.client import ServiceClient
 
-        try:
-            with ServiceClient.connect(args.remote) as client:
-                result = client.metrics()
-        except ServiceError as exc:
-            print(f"remote metrics failed: {exc}", file=sys.stderr)
-            return 1
+        with ServiceClient.connect(args.remote) as client:
+            result = client.metrics()
         if args.json:
             print(to_json(result))
             return 0
@@ -619,7 +607,7 @@ def cmd_reanalyze(args: argparse.Namespace) -> int:
     _warn_ignored(args, "reanalyze", "--checkpoint", "--resume")
     base = load_circuit(args.base)
     edited = load_circuit(args.edited)
-    criterion = _CRITERIA[args.criterion]
+    criterion = CRITERIA[args.criterion]
     sort = args.sort if criterion is Criterion.SIGMA_PI else None
     report = reanalyze(
         base,
@@ -647,7 +635,7 @@ def cmd_tightness(args: argparse.Namespace) -> int:
     from repro.verdict import run_tightness
 
     _warn_ignored(args, "tightness", "--checkpoint", "--resume")
-    criterion = _CRITERIA[args.criterion]
+    criterion = CRITERIA[args.criterion]
     circuits = None
     if args.circuits:
         circuits = [load_circuit(spec) for spec in args.circuits]
@@ -674,24 +662,19 @@ def cmd_tightness(args: argparse.Namespace) -> int:
 
 def _tightness_remote(args: argparse.Namespace) -> int:
     """``tightness --remote``: one daemon request per circuit."""
-    from repro.errors import ReproError
     from repro.service.client import RetryPolicy, ServiceClient
     from repro.verdict.tightness import default_suite_circuits
 
     specs = list(args.circuits) or default_suite_circuits(args.max_inputs)
     rows = []
-    try:
-        with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
-            for name in specs:
-                rows.append(client.tightness(
-                    circuit=_remote_circuit(name),
-                    criterion=args.criterion,
-                    sort=args.sort,
-                    max_accepted=args.max_accepted,
-                ))
-    except ReproError as exc:
-        print(f"remote tightness failed: {exc}", file=sys.stderr)
-        return 1
+    with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
+        for name in specs:
+            rows.append(client.tightness(
+                circuit=_remote_circuit(name),
+                criterion=args.criterion,
+                sort=args.sort,
+                max_accepted=args.max_accepted,
+            ))
     if args.json:
         print(to_json({"rows": rows}))
         return 0
@@ -746,27 +729,22 @@ def cmd_signoff(args: argparse.Namespace) -> int:
 
 def _signoff_remote(args: argparse.Namespace) -> int:
     """``signoff --remote``: one daemon request per capture domain."""
-    from repro.errors import ReproError
     from repro.service.client import RetryPolicy, ServiceClient
     from repro.signoff import signoff_remote
 
     base, annotations = _signoff_delays(args)
-    try:
-        with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
-            report = signoff_remote(
-                args.circuit,
-                client,
-                k=args.k,
-                slack=args.slack,
-                exact=args.exact,
-                scan=True if args.scan else None,
-                annotations=annotations,
-                seed=args.seed,
-                base=base,
-            )
-    except ReproError as exc:
-        print(f"remote signoff failed: {exc}", file=sys.stderr)
-        return 1
+    with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
+        report = signoff_remote(
+            args.circuit,
+            client,
+            k=args.k,
+            slack=args.slack,
+            exact=args.exact,
+            scan=True if args.scan else None,
+            annotations=annotations,
+            seed=args.seed,
+            base=base,
+        )
     return _print_signoff(args, report)
 
 
@@ -871,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("circuit")
     p.add_argument(
-        "--criterion", choices=sorted(_CRITERIA), default="sigma",
+        "--criterion", choices=sorted(CRITERIA), default="sigma",
         help="fs = functional sensitizability, nr = non-robust "
         "testability, sigma = LP(sigma^pi) (default)",
     )
@@ -881,7 +859,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="seed for --sort random")
     p.add_argument(
-        "--max-accepted", type=int, default=None, help=_MAX_ACCEPTED_HELP,
+        "--max-accepted", type=int, default=None,
+        help=_MAX_ACCEPTED_HELP + "; with --jobs N and --criterion fs|nr "
+        "the passes run per output cone and this is a per-cone budget, "
+        "as for reanalyze",
     )
     p.add_argument(
         "--remote", metavar="HOST:PORT|SOCKET", default=None,
@@ -1061,7 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("base", help="suite name or .bench/.pla file")
     p.add_argument("edited", help="suite name or .bench/.pla file")
     p.add_argument(
-        "--criterion", choices=sorted(_CRITERIA), default="sigma",
+        "--criterion", choices=sorted(CRITERIA), default="sigma",
         help="classification criterion (default sigma)",
     )
     p.add_argument(
@@ -1086,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
         "circuit within --max-inputs PIs)",
     )
     p.add_argument(
-        "--criterion", choices=sorted(_CRITERIA), default="sigma",
+        "--criterion", choices=sorted(CRITERIA), default="sigma",
         help="criterion to decide exactly (default sigma)",
     )
     p.add_argument(
@@ -1186,6 +1167,12 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ReproError as exc:
+        # the one error exit: a budget abort, a bad netlist or a failed
+        # remote request is one stderr line, not a traceback
+        remote = "remote " if getattr(args, "remote", None) else ""
+        print(f"{remote}{args.command} failed: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # stdout went away (e.g. `repro-rd cache stats f | head`); die
         # quietly like cat(1) instead of tracebacking

@@ -51,14 +51,12 @@ path counts in O(1).  Rows record their session's cache counters in
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.baseline.exact_assignment import BaselineResult, baseline_rd
 from repro.circuit.netlist import Circuit
 from repro.classify.conditions import Criterion
-from repro.classify.results import ClassificationResult
 from repro.classify.session import CircuitSession
-from repro.errors import HarnessError
 from repro.obs import span
 from repro.experiments.supervisor import (
     DEFAULT_MAX_RETRIES,
@@ -401,59 +399,6 @@ def run_table3_rows(
         task_timeout,
         max_retries,
         runner,
-    )
-
-
-def _cone_task(
-    payload: "tuple[Circuit, int, Criterion, Callable[[Circuit], InputSort] | None]",
-) -> ClassificationResult:
-    circuit, po, criterion, sort_builder = payload
-    cone, _mapping = circuit.extract_cone(po)
-    session = CircuitSession(cone)
-    sort = sort_builder(cone) if sort_builder is not None else None
-    return session.classify(criterion, sort=sort)
-
-
-def classify_cones(
-    circuit: Circuit,
-    criterion: Criterion,
-    sort_builder: "Callable[[Circuit], InputSort] | None" = None,
-    jobs: int = 1,
-    runner: "TaskRunner | None" = None,
-) -> ClassificationResult:
-    """Classify per extracted PO cone and combine (the paper applies its
-    single-output theory cone by cone; every PI→PO path lies in exactly
-    one cone, so the accepted counts add up).
-
-    ``sort_builder`` builds the per-cone sort for ``SIGMA_PI`` (e.g.
-    :func:`~repro.sorting.heuristics.heuristic1_sort`); for ``jobs > 1``
-    it must be picklable (a module-level function, not a lambda).
-    ``elapsed`` sums per-cone CPU time — the paper's accounting — not
-    pool wall-clock.  Cone tasks run supervised (crashed workers are
-    retried, then degraded in-process), but because a combined result
-    needs *every* cone, a cone that still fails raises
-    :class:`~repro.errors.HarnessError` instead of degrading to a
-    partial sum.
-    """
-    work = [(circuit, po, criterion, sort_builder) for po in circuit.outputs]
-    parts = _make_runner(runner, jobs, DEFAULT_MAX_RETRIES).map(
-        _cone_task,
-        work,
-        labels=[f"{circuit.name}/cone[{po}]" for po in circuit.outputs],
-    )
-    failures = [part for part in parts if isinstance(part, RowFailure)]
-    if failures:
-        raise HarnessError(
-            "cone classification failed: "
-            + "; ".join(str(failure) for failure in failures)
-        )
-    return ClassificationResult(
-        circuit_name=circuit.name,
-        criterion=criterion,
-        total_logical=sum(p.total_logical for p in parts),
-        accepted=sum(p.accepted for p in parts),
-        elapsed=sum(p.elapsed for p in parts),
-        edges_visited=sum(p.edges_visited for p in parts),
     )
 
 

@@ -265,7 +265,7 @@ def _cone_sort_plans(
     return plans
 
 
-def _dirty_cone_task(payload: tuple) -> tuple:
+def _classify_dirty_cone(payload: tuple) -> tuple:
     """Classify one dirty cone (module-level: pool tasks must pickle).
 
     Returns ``("ok", total, accepted, edges, elapsed)`` or
@@ -339,7 +339,9 @@ def cone_classify(
     other string raises :class:`ValueError`), or an explicit global
     :class:`~repro.sorting.input_sort.InputSort` restricted per cone.
     ``max_accepted`` is a *per-cone* acceptance budget and part of the
-    store key.  Without a ``store`` every cone is computed (a cold run —
+    store key.  ``edges_visited`` sums per-cone DFS work (cones share
+    no memo), so it compares only with other cone-granularity runs.
+    Without a ``store`` every cone is computed (a cold run —
     the byte-identical baseline of the warm path).  Dirty cones fan out
     over ``jobs`` supervised workers; a cone that fails after retries
     raises :class:`HarnessError` (a combined result needs every cone),
@@ -403,7 +405,7 @@ def cone_classify(
         ]
         task_runner = runner if runner is not None else TaskRunner(jobs=jobs)
         parts = task_runner.map(
-            _dirty_cone_task,
+            _classify_dirty_cone,
             work,
             labels=[f"{circuit.name}/cone[{cone.output}]" for cone, _ in dirty],
         )

@@ -354,9 +354,9 @@ class ServiceClient:
         in-memory :class:`~repro.circuit.netlist.Circuit` (serialized to
         ``.bench`` on the wire).  ``deadline`` is a total budget across
         retries, honored server-side from whatever remains per hop.
-        ``cones=True`` requests cone granularity (the ECO path): the
-        server reuses stored cone rows where it can and the result
-        carries a ``"cone_stats"`` reuse summary."""
+        ``cones`` asks for cone granularity (the ECO path): the server
+        reuses stored cone rows where it can and the result carries a
+        ``"cone_stats"`` reuse summary."""
         return self._circuit_request(
             "classify", circuit, bench, on_event,
             criterion=criterion, sort=sort, max_accepted=max_accepted,

@@ -53,9 +53,9 @@ Fields outside the table are ignored::
     | stats     |               |        |         |                          | yes        |
 
 ``sort`` shapes only a ``sigma`` pass but is checked for every
-criterion; ``cones: true`` (cone granularity against the store's cone
-table, the ECO path: the result adds a ``cone_stats`` reuse summary)
-narrows it to ``pin``/``heu1``/``heu2``.  ``signoff`` takes at most one
+criterion; ``cones: true`` asks for cone granularity against the
+store's cone rows (the ECO path; the result adds a ``cone_stats`` reuse
+summary) and derives the sort per cone.  ``signoff`` takes at most one
 of ``k`` (>= 1) and ``slack``; its ``delays`` text must cover every
 non-PI gate (``seed`` only picks the fallback when ``delays`` is
 absent).  A null ``deadline`` comes from the circuit's path count, a
@@ -116,8 +116,6 @@ MAX_LINE = 8 * 1024 * 1024
 
 _NUMBER = (int, float)
 _TYPE_NAMES = {(str,): "str", (int,): "int", (bool,): "bool", _NUMBER: "number"}
-#: input sorts a cone-granularity pass can derive per cone
-_CONE_SORTS = ("pin", "heu1", "heu2")
 
 
 @dataclass(frozen=True)
@@ -169,14 +167,6 @@ class OpSpec:
     check: "Callable[[dict], None] | None" = None
 
 
-def _check_classify(params: dict) -> None:
-    if params["cones"] and params["sort"] not in _CONE_SORTS:
-        raise ProtocolError(
-            f"sort {params['sort']!r} is not available at cone granularity; "
-            f"valid: {', '.join(_CONE_SORTS)}"
-        )
-
-
 def _check_signoff(params: dict) -> None:
     if params["k"] is not None and params["slack"] is not None:
         raise ProtocolError("pass either 'k' or 'slack', not both")
@@ -191,16 +181,14 @@ def _circuit_op(name: str, check=None, **params: Param) -> OpSpec:
 
 _ANALYSIS = dict(
     criterion=Param((str,), "sigma", ("fs", "nr", "sigma")),
-    sort=Param((str,), "heu2", _CONE_SORTS + ("heu2inv",)),
+    sort=Param((str,), "heu2", ("pin", "heu1", "heu2", "heu2inv")),
     max_accepted=Param((int,)),
 )
 
 #: every wire op by name: the one schema the daemon, the fleet front end
 #: and the client derive validation, coalescing keys and retries from
 OPS: "dict[str, OpSpec]" = {spec.name: spec for spec in (
-    _circuit_op(
-        "classify", _check_classify, **_ANALYSIS, cones=Param((bool,), False)
-    ),
+    _circuit_op("classify", **_ANALYSIS, cones=Param((bool,), False)),
     _circuit_op("tightness", **_ANALYSIS),
     _circuit_op(
         "signoff", _check_signoff,

@@ -41,7 +41,7 @@ from threading import Lock
 from repro import __version__
 from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Circuit
-from repro.classify.conditions import Criterion
+from repro.classify.conditions import CRITERIA, Criterion
 from repro.classify.session import CircuitSession
 from repro.errors import CircuitError, ProtocolError, TaskTimeout
 from repro.experiments.supervisor import default_task_budget
@@ -60,9 +60,6 @@ __all__ = [
     "run_until_signalled",
     "serve",
 ]
-
-_CRITERIA = {"fs": Criterion.FS, "nr": Criterion.NR, "sigma": Criterion.SIGMA_PI}
-
 
 def _build_circuit(message: dict) -> Circuit:
     key = request_key(message)
@@ -572,7 +569,7 @@ class AnalysisServer(JsonLineServer):
 
         row = tightness_row(
             session.circuit,
-            _CRITERIA[criterion],
+            CRITERIA[criterion],
             sort,
             session=session,
             max_accepted=self._budget(max_accepted),
@@ -590,7 +587,7 @@ class AnalysisServer(JsonLineServer):
         max_accepted: "int | None",
         cones: bool,
     ) -> dict:
-        criterion = _CRITERIA[criterion]
+        criterion = CRITERIA[criterion]
         max_accepted = self._budget(max_accepted)
         # the sort only shapes a sigma pass
         sort_kind = sort if criterion is Criterion.SIGMA_PI else None

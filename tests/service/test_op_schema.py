@@ -13,8 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.classify.conditions import CRITERIA, Criterion
+from repro.classify.session import SORT_KINDS
 from repro.cli import main
 from repro.errors import RemoteError
+from repro.gen.suite import get_circuit
+from repro.incremental import cone_classify
 from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.fleet import coalescing_key
@@ -51,7 +55,6 @@ MALFORMED = [
     {"op": "classify", "circuit": "c17", "criterion": ["x"]},
     {"op": "classify", "circuit": "c17", "criterion": "fs", "sort": "bogus"},
     {"op": "classify", "circuit": "c17", "sort": "bogus"},
-    {"op": "classify", "circuit": "c17", "cones": True, "sort": "heu2inv"},
     {"op": "tightness", "circuit": "c17", "sort": "bogus"},
 ]
 
@@ -89,6 +92,28 @@ class TestMalformedParity:
                 )
                 assert (error_type, events) == ("ProtocolError", [])
                 assert "unknown sort 'random'" in text
+
+    def test_heu2inv_at_cone_granularity_is_answered(self, servers):
+        """Every named sort works per cone: the daemon and the fleet give
+        the library's answer."""
+        report = cone_classify(
+            get_circuit("c17"), Criterion.SIGMA_PI, sort="heu2inv"
+        )
+        keys = ("name", "criterion", "sort", "total_logical", "accepted",
+                "edges_visited", "fingerprint", "cone_stats")
+        answers = []
+        for address in (servers["daemon"], servers["fleet"]):
+            with ServiceClient.connect(address) as client:
+                result = client.classify(
+                    circuit="c17", sort="heu2inv", cones=True
+                )
+            answers.append({key: result[key] for key in keys})
+        daemon, fleet = answers
+        assert daemon == fleet
+        assert daemon["sort"] == "heu2inv"
+        assert daemon["accepted"] == report.result.accepted
+        assert daemon["total_logical"] == report.result.total_logical
+        assert daemon["edges_visited"] == report.result.edges_visited
 
     def test_unknown_fields_stay_ignored(self, servers):
         for address in servers.values():
@@ -151,7 +176,7 @@ def test_client_request_lines_are_pinned():
 FIELDS = {
     "classify": {
         "criterion": ("sigma", ["fs", "nr", "sigma"]),
-        "sort": ("heu2", ["pin", "heu1", "heu2"]),
+        "sort": ("heu2", ["pin", "heu1", "heu2", "heu2inv"]),
         "max_accepted": (None, [None, 0, 7]),
         "cones": (False, [False, True]),
         "deadline": (None, [None, 2, 2.0, 2.5]),
@@ -278,6 +303,16 @@ def test_benchmark_plan_groups_requests_as_before():
     assert len(set(new)) == len(set(old))
     # the same partition, not merely the same count
     assert len(set(zip(old, new))) == len(set(old))
+
+
+def test_choice_lists_follow_the_library():
+    """The wire keeps literal choice tuples (the protocol module imports
+    no classifier code); they must name exactly the library's
+    criteria and sorts."""
+    for op in ("classify", "tightness"):
+        params = protocol.OPS[op].params
+        assert params["criterion"].choices == tuple(sorted(CRITERIA))
+        assert params["sort"].choices == SORT_KINDS
 
 
 # -- the documented wire table -----------------------------------------------

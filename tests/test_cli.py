@@ -279,6 +279,43 @@ class TestNewSubcommands:
         # cone decomposition preserves the counts
         assert serial_like.split("accepted")[0] == serial.split("accepted")[0]
 
+    def test_classify_jobs_store_warm_run_reads_every_cone(
+        self, capsys, tmp_path
+    ):
+        store = str(tmp_path / "s.sqlite")
+        argv = ["classify", "c17", "--criterion", "fs", "--jobs", "2",
+                "--store", store, "--json"]
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        cones = len(load_circuit("c17").outputs)
+        assert cold["session"]["cone_misses"] == cones
+        assert warm["session"]["cone_hits"] == cones
+        assert warm["fingerprint"] == cold["fingerprint"] is not None
+        assert warm["accepted"] == cold["accepted"] == 22
+        assert main(argv[:-1] + ["-v"]) == 0
+        summary = capsys.readouterr().out.splitlines()[1]
+        assert f"cones={cones}/{cones} hit" in summary
+        assert "store=off" not in summary
+
+    def test_classify_jobs_max_accepted_is_a_per_cone_budget(self, capsys):
+        argv = ["classify", "c17", "--criterion", "fs", "--jobs", "2"]
+        assert main(argv + ["--max-accepted", "1"]) == 1
+        assert "classify failed" in capsys.readouterr().err
+        # c17's cones accept 10 and 12 paths: a budget of 12 admits
+        # every cone although the circuit accepts 22
+        assert main(argv + ["--max-accepted", "12"]) == 0
+        assert "22/22 accepted" in capsys.readouterr().out
+
+    def test_classify_budget_abort_is_one_stderr_line(self, capsys):
+        argv = ["classify", "c17", "--criterion", "fs", "--max-accepted", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("classify failed: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_classify_jobs_sigma_warns_and_runs(self, capsys):
         assert main(["classify", "c17", "--jobs", "2"]) == 0
         captured = capsys.readouterr()
