@@ -29,10 +29,20 @@ with set-of-gates state packed into word-wide bitmasks:
   (:class:`_Tables`): one ``(ones, zeros)`` mask pair per (lead, on-path
   value), derived from :func:`repro.classify.conditions.
   packed_side_conditions` — the bitset twin of ``required_side_pins``.
-* Implication rules are monotone, so the settled state after an
-  extension is a pure function of (entry, state); a per-run memo table
+* Implication rules are monotone and confluent, so the settled state
+  after an extension is a pure function of the entry's mask pair and
+  the state it extends.  A memo keyed on ``(pair id, ones, zeros)``
   short-circuits the worklist for states revisited across sibling
-  subtrees, which dominates on reconvergent circuits.
+  subtrees, which dominates on reconvergent circuits.  Pair ids are
+  interned in a caller-owned dict, so entries of different tables with
+  equal masks share an id; a :class:`~repro.classify.session.
+  CircuitSession` owns one id dict and one memo for all its passes
+  (Heuristic 2's FS, NR and σ^π passes settle mostly the same states),
+  while a sessionless call passes fresh ones.  A memo value is the
+  settled ``(ones, zeros)`` (the complements are rebuilt with ``~``),
+  the shared :data:`_PLAIN` when settling assigned nothing beyond the
+  entry's own masks, or ``None`` for a contradiction; an immediate
+  conflict is tested before the lookup and never stored.
 
 There is one DFS kernel (:func:`_dfs`) for every pass.  It keeps
 explicit iterator/state stacks, so arbitrarily deep circuits are handled
@@ -68,6 +78,9 @@ if TYPE_CHECKING:  # annotation-only; avoids a classify <-> sorting cycle
 
 #: Memo-table miss sentinel (``None`` is a meaningful cached value).
 _MISS = object()
+#: Memo value of a settle that assigned nothing beyond the entry's own
+#: masks: a hit ORs them back in, so the common case stores no ints.
+_PLAIN = object()
 #: Depth-0 entry of the kernel's path stack: never controlling, so the
 #: root frame's pop credits no lead.
 _ROOT = [0, 0, (), -1, -1, False, -1, -1, 0]
@@ -93,8 +106,10 @@ class _Tables:
         (``branches[2 * dst + newval]``), ``e[3]``/``e[4]`` the
         precomputed complements ``~e[0]``/``~e[1]``, ``e[5]`` whether the
         on-path value is ``dst``'s controlling value, ``e[6]`` the lead,
-        ``e[7]`` a dense entry id (memo key) and ``e[8]`` the on-path
-        value at ``dst``'s output.
+        ``e[7]`` the id of the pair ``(e[0], e[1])`` interned in ``ids``
+        (the memo key; equal masks share an id across every table built
+        with the same ``ids``) and ``e[8]`` the on-path value at
+        ``dst``'s output.
 
     ``roots[2 * pi + x]`` is the settled state after assuming PI ``pi``
     carries ``x`` (``None`` if that assumption is already absurd) and
@@ -103,7 +118,11 @@ class _Tables:
     """
 
     def __init__(
-        self, circuit: Circuit, criterion: Criterion, sort: InputSort | None
+        self,
+        circuit: Circuit,
+        criterion: Criterion,
+        sort: InputSort | None,
+        ids: dict,
     ) -> None:
         if criterion.needs_sort and sort is None:
             raise ValueError("SIGMA_PI classification requires an input sort")
@@ -126,6 +145,7 @@ class _Tables:
         tab: list = [None] * (2 * flat.num_leads)
         rows: list[list] = [[] for _ in range(2 * n)]
         entries: list[list] = []
+        intern = ids.setdefault
         for g in range(n):
             blo = fanout_start[g]
             bhi = fanout_start[g + 1]
@@ -176,7 +196,7 @@ class _Tables:
                         ~z,
                         is_ctrl,
                         lead,
-                        len(entries),
+                        intern((o, z), len(ids)),
                         newval,
                     ]
                     entries.append(e)
@@ -297,6 +317,7 @@ def _settle(
 
 def _dfs(
     tables: _Tables,
+    memo: dict,
     max_accepted: int | None,
     on_path: Callable[[LogicalPath], None] | None,
 ) -> tuple[int, int, list[int]]:
@@ -305,9 +326,11 @@ def _dfs(
     Everything is local variables and int ops; the conditional-rule
     worklist of :func:`_settle` is inlined.  The conflict check MUST
     precede the new-bits test when merging an entry — bits that are all
-    "already known" can still sit on the wrong side.  The memo only
-    short-circuits state computation, never the traversal, so the entry
-    stack — and with it the lead counts and ``on_path`` — stays exact.
+    "already known" can still sit on the wrong side.  ``memo`` may come
+    from earlier passes over tables built with the same ``ids`` (see
+    the module docstring); it only short-circuits state computation,
+    never the traversal, so the entry stack — and with it the lead
+    counts and ``on_path`` — stays exact.
     """
     flat = tables.flat
     clo = tables.closures
@@ -330,7 +353,6 @@ def _dfs(
     roots = tables.roots
     limit = float("inf") if max_accepted is None else max_accepted
     tup = tuple  # a local is cheaper than the builtin lookup per edge
-    memo: dict = {}
     accepted = 0
     edges = 0
     lead_counts = [0] * flat.num_leads
@@ -380,12 +402,11 @@ def _dfs(
                 t1 = o & no
                 t0 = z & nz
                 if t1 or t0:
+                    if o & zeros or z & ones:
+                        continue
                     kt = (e[7], ones, zeros)
                     r = memo.get(kt, _MISS)
                     if r is _MISS:
-                        if o & zeros or z & ones:
-                            memo[kt] = None
-                            continue
                         snap = (ones, zeros, no, nz)
                         ones |= o
                         zeros |= z
@@ -403,6 +424,7 @@ def _dfs(
                             t0 ^= b
                             pending |= c0[b.bit_length() - 1]
                         ok = True
+                        grew = False
                         while pending:
                             b = pending & -pending
                             pending ^= b
@@ -441,6 +463,7 @@ def _dfs(
                                 zeros |= lz
                                 no &= lit_no[L]
                                 nz &= lit_nz[L]
+                                grew = True
                                 f1 &= I1
                                 while f1:
                                     b2 = f1 & -f1
@@ -455,15 +478,24 @@ def _dfs(
                             memo[kt] = None
                             ones, zeros, no, nz = snap
                             continue
-                        memo[kt] = (ones, zeros, no, nz)
+                        memo[kt] = (ones, zeros) if grew else _PLAIN
                         d += 1
                         st_stk[d] = snap
                     elif r is None:
                         continue
+                    elif r is _PLAIN:
+                        d += 1
+                        st_stk[d] = (ones, zeros, no, nz)
+                        ones |= o
+                        zeros |= z
+                        no &= e[3]
+                        nz &= e[4]
                     else:
                         d += 1
                         st_stk[d] = (ones, zeros, no, nz)
-                        ones, zeros, no, nz = r
+                        ones, zeros = r
+                        no = ~ones
+                        nz = ~zeros
                 else:
                     # nothing new to assign: extension trivially consistent
                     d += 1
@@ -479,6 +511,7 @@ def _run(
     circuit: Circuit,
     criterion: Criterion,
     tables: _Tables,
+    memo: dict,
     counts: PathCounts,
     collect_lead_counts: bool,
     max_accepted: int | None,
@@ -489,7 +522,9 @@ def _run(
     wrap the result; ``collect_lead_counts`` only decides whether the
     result carries the lead counts."""
     with Stopwatch() as sw:
-        accepted, edges, lead_counts = _dfs(tables, max_accepted, on_path)
+        accepted, edges, lead_counts = _dfs(
+            tables, memo, max_accepted, on_path
+        )
     return ClassificationResult(
         circuit_name=circuit.name,
         criterion=criterion,
@@ -561,13 +596,14 @@ def classify(
             max_accepted=max_accepted,
             on_path=on_path,
         )
-    tables = _Tables(circuit, criterion, sort)
+    tables = _Tables(circuit, criterion, sort, {})
     if counts is None:
         counts = count_paths(circuit)
     return _run(
         circuit,
         criterion,
         tables,
+        {},
         counts,
         collect_lead_counts,
         max_accepted,
@@ -587,7 +623,7 @@ def check_logical_path(
     conditions did not contradict under direct implications); False means
     the path is provably outside the criterion set.
     """
-    tables = _Tables(circuit, criterion, sort)
+    tables = _Tables(circuit, criterion, sort, {})
     return check_logical_path_tables(circuit, tables, logical_path)
 
 

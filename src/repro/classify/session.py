@@ -13,8 +13,13 @@ share a first-class, reusable artifact instead of per-call scratch:
   and shared by every pass;
 * the static per-lead bitset condition tables are cached per
   ``(criterion, sort)`` — the inverted-Heu2 control pass, for example,
-  shares nothing with the forward pass, but repeated passes with the
+  shares no table with the forward pass, but repeated passes with the
   same sort (re-runs, benches, coverage studies) hit the cache;
+* every table interns its entries' mask pairs in one session-wide id
+  dict, and every DFS pass settles through one session-wide memo keyed
+  by those ids: entries with equal masks (every non-controlling
+  on-path value, under FS, NR and any sort) share settled states, so a
+  Table-I row's later passes reuse what its earlier ones settled;
 * the last completed FS and NR passes are held, and a SIGMA_PI pass
   needs no DFS when they agree (Lemma 1's sandwich): the supersets
   nest NR ⊆ LP(σ^π) ⊆ FS for every sort, so equal FS and NR
@@ -159,6 +164,12 @@ class CircuitSession:
     All classification entry points (:func:`repro.classify.classify`,
     the sorting heuristics, the experiment harness) accept a session and
     route through these caches.
+
+    The settle memo (``_memo``, keyed by the mask-pair ids interned in
+    ``_ids``) lives exactly as long as the tables do: for the session's
+    whole life, including while it idles in the server's
+    :class:`~repro.service.server.SessionPool`.  A pass aborted by
+    ``max_accepted`` leaves only exact entries behind.
     """
 
     circuit: Circuit
@@ -169,6 +180,9 @@ class CircuitSession:
     _canon: "CanonicalForm | None" = field(default=None, repr=False)
     #: the last completed FS and NR passes, by criterion
     _bounds: dict = field(default_factory=dict, repr=False)
+    #: interned entry mask pairs and the settle memo every pass shares
+    _ids: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.circuit, Circuit):
@@ -272,7 +286,9 @@ class CircuitSession:
         cached = self._tables.get(key)
         if cached is None:
             self.stats.bump("tables_built")
-            cached = self._tables[key] = _Tables(self.circuit, criterion, sort)
+            cached = self._tables[key] = _Tables(
+                self.circuit, criterion, sort, self._ids
+            )
         else:
             self.stats.bump("tables_reused")
         return cached
@@ -427,6 +443,7 @@ class CircuitSession:
                         self.circuit,
                         criterion,
                         tables,
+                        self._memo,
                         self.counts,
                         collect_lead_counts,
                         max_accepted,

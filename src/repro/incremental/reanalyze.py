@@ -346,7 +346,9 @@ def cone_classify(
     over ``jobs`` supervised workers; a cone that fails after retries
     raises :class:`HarnessError` (a combined result needs every cone),
     and a budget abort raises :class:`ClassifyError` just as a
-    whole-circuit pass would.
+    whole-circuit pass would.  Given ``session_stats``, every cone
+    answered from the store or computed counts one ``classify_passes``,
+    as every whole-circuit request does.
     """
     from repro.experiments.supervisor import RowFailure, TaskRunner
 
@@ -371,6 +373,7 @@ def cone_classify(
             registry.counter("incremental.cones_clean").inc()
             registry.counter("incremental.cone_store_hits").inc()
             if session_stats is not None:
+                session_stats.bump("classify_passes")
                 session_stats.bump("cone_hits")
             rows[cone.po] = ConeRow(
                 output=cone.output,
@@ -416,6 +419,8 @@ def cone_classify(
                 continue
             if part[0] == "budget_abort":
                 raise ClassifyError(part[1])
+            if session_stats is not None:
+                session_stats.bump("classify_passes")
             _tag, total, accepted, edges, elapsed = part
             rows[cone.po] = ConeRow(
                 output=cone.output,

@@ -86,7 +86,8 @@ class StoreStats:
 
     ``entries``/``by_kind`` count the whole-circuit rows; ``kind="cone"``
     rows are broken out separately so cache pressure from fine-grained
-    ECO rows is visible at a glance.
+    ECO rows is visible at a glance.  The rendered ``entries:`` line
+    counts both, with ``cone=N`` among its kinds.
     """
 
     path: str
@@ -102,13 +103,17 @@ class StoreStats:
     cone_payload_bytes: int = 0
 
     def render(self) -> str:
+        counts = dict(self.by_kind)
+        if self.cone_entries:
+            counts["cone"] = self.cone_entries
         kinds = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(self.by_kind.items())
+            f"{kind}={count}" for kind, count in sorted(counts.items())
         )
         return "\n".join(
             [
                 f"store:   {self.path}",
-                f"entries: {self.entries} ({kinds or 'empty'})",
+                f"entries: {self.entries + self.cone_entries} "
+                f"({kinds or 'empty'})",
                 f"whole:   {self.entries} entries, "
                 f"{self.whole_payload_bytes:,} payload bytes, "
                 f"{self.total_hits} hits",

@@ -1,6 +1,7 @@
 """CircuitSession: shared per-circuit caches for classification runs."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.circuit.examples import paper_example_circuit
 from repro.classify.conditions import Criterion
@@ -13,6 +14,7 @@ from repro.gen.suite import get_circuit
 from repro.obs import get_registry
 from repro.sorting.heuristics import heuristic2_analysis
 from repro.sorting.input_sort import InputSort
+from tests.strategies import small_circuits
 
 
 @pytest.fixture
@@ -114,6 +116,70 @@ class TestEquivalence:
         session = CircuitSession(circuit)
         result = classify(circuit, Criterion.FS, counts=session.counts)
         assert result.total_logical == session.counts.total_logical
+
+
+def _assert_memo_shared_exactly(circuit):
+    """Run a Table-I-like mix of passes on one session (one shared settle
+    memo) and compare every pass with a sessionless ``classify`` (a
+    fresh memo per call)."""
+    sorts = CircuitSession(circuit)
+    heu1 = sorts.sort("heu1")
+    heu2 = sorts.sort("heu2")
+    session = CircuitSession(circuit)
+
+    def same(criterion, sort=None, with_paths=False):
+        fresh_paths: list = []
+        fresh = classify(
+            circuit, criterion, sort=sort, collect_lead_counts=True,
+            on_path=fresh_paths.append if with_paths else None,
+        )
+        shared_paths: list = []
+        shared = session.classify(
+            criterion, sort=sort, collect_lead_counts=True,
+            on_path=shared_paths.append if with_paths else None,
+        )
+        assert shared.accepted == fresh.accepted
+        assert shared.edges_visited == fresh.edges_visited
+        assert shared.lead_ctrl_counts == fresh.lead_ctrl_counts
+        assert shared_paths == fresh_paths
+        return fresh
+
+    full_fs = classify(circuit, Criterion.FS)
+    if full_fs.accepted:
+        # an aborted pass leaves its settled states behind
+        with pytest.raises(ClassifyError):
+            session.classify(Criterion.FS, max_accepted=full_fs.accepted // 2)
+    same(Criterion.FS)
+    same(Criterion.NR)
+    same(Criterion.SIGMA_PI, heu1)
+    same(Criterion.SIGMA_PI, heu2)
+    same(Criterion.SIGMA_PI, heu2.inverted())
+    same(Criterion.SIGMA_PI, heu1, with_paths=True)
+
+
+class TestSharedMemo:
+    """Every pass of a session settles through one memo keyed by interned
+    mask pairs; a hit left by another pass must be exact."""
+
+    @given(small_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_small_circuits(self, circuit):
+        _assert_memo_shared_exactly(circuit)
+
+    def test_s432_rand(self):
+        _assert_memo_shared_exactly(get_circuit("s432-rand"))
+
+    def test_equal_masks_share_one_entry_id(self):
+        session = CircuitSession(get_circuit("s432-rand"))
+        fs = session.tables(Criterion.FS)
+        nr = session.tables(Criterion.NR)
+        ids = {}
+        for tables in (fs, nr):
+            for row in tables.branches:
+                for e in row:
+                    if e is not None and len(e) > 1:
+                        assert ids.setdefault((e[0], e[1]), e[7]) == e[7]
+        assert len(set(ids.values())) == len(ids)
 
 
 def _implied_passes():

@@ -279,6 +279,12 @@ class TestNewSubcommands:
         # cone decomposition preserves the counts
         assert serial_like.split("accepted")[0] == serial.split("accepted")[0]
 
+    def test_classify_jobs_counts_one_pass_per_cone(self, capsys):
+        argv = ["classify", "c17", "--criterion", "fs", "--jobs", "2", "-v"]
+        assert main(argv) == 0
+        summary = capsys.readouterr().out.splitlines()[1]
+        assert summary.startswith("passes=2 ")
+
     def test_classify_jobs_store_warm_run_reads_every_cone(
         self, capsys, tmp_path
     ):
@@ -547,6 +553,17 @@ class TestStoreFlags:
         assert "removed" in capsys.readouterr().out
         assert main(["cache", "stats", store]) == 0
         assert "entries: 0" in capsys.readouterr().out
+
+    def test_cache_stats_counts_a_cone_only_store(self, capsys, tmp_path):
+        store = str(tmp_path / "s.sqlite")
+        argv = ["reanalyze", "c17", "c17", "--criterion", "fs", "--store", store]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", store]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 2 (cone=2)" in out
+        assert "whole:   0 entries" in out
+        assert "cone:    2 entries" in out
 
     def test_cache_stats_breaks_out_tightness_entries(self, capsys, tmp_path):
         store = str(tmp_path / "s.sqlite")
