@@ -17,10 +17,13 @@ Subcommands::
     repro-rd info my_circuit.bench        # file inputs work everywhere
 
 Run-style subcommands (classify, baseline, compare-sorts, sweep,
-table1/2/3) share one flag family — ``--jobs``, ``--store``,
-``--checkpoint``, ``--resume``, ``--trace-out``, ``-v`` plus the
-supervision budget/retry knobs — declared once in a parent parser, so
-every command spells every option the same way.
+table1/2/3, reanalyze, tightness, signoff) share one flag family —
+``--jobs``, ``--store``, ``--checkpoint``, ``--resume``,
+``--trace-out``, ``-v`` plus the supervision budget/retry knobs —
+declared once in a parent parser, so every command spells every option
+the same way.  ``--jobs``, ``--task-budget`` and ``--retries`` build one
+:class:`~repro.experiments.supervisor.TaskRunner` that every fanned-out
+command runs its pool tasks under.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from repro.classify.session import (
     format_session_stats,
 )
 from repro.errors import ReproError
+from repro.experiments.supervisor import DEFAULT_MAX_RETRIES, TaskRunner
 from repro.gen.suite import SUITE
 from repro.obs import export_jsonl, format_metrics, get_registry
 from repro.sorting.heuristics import random_sort
@@ -86,7 +90,8 @@ _MAX_ACCEPTED_HELP = (
 
 def _shared_run_parent() -> argparse.ArgumentParser:
     """The flag family every run-style subcommand accepts (classify,
-    baseline, compare-sorts, sweep, table1/2/3)."""
+    baseline, compare-sorts, sweep, table1/2/3, reanalyze, tightness,
+    signoff)."""
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group("shared run options")
     g.add_argument(
@@ -118,26 +123,40 @@ def _shared_run_parent() -> argparse.ArgumentParser:
     g.add_argument(
         "--task-budget", dest="task_timeout", type=float, default=None,
         metavar="SECONDS",
-        help="flat per-task wall-clock budget (default: derived from "
-        "each circuit's exact path count; jobs > 1 only)",
+        help="flat wall-clock budget for every pool task (default: "
+        "derived from each circuit's exact path count for table and "
+        "sweep rows, none elsewhere; --jobs > 1 only)",
     )
     g.add_argument(
-        "--retries", dest="max_retries", type=int, default=None,
-        metavar="N",
-        help="pool retries per task before the in-process rerun",
+        "--retries", dest="max_retries", type=int,
+        default=DEFAULT_MAX_RETRIES, metavar="N",
+        help="pool retries per task before the in-process rerun "
+        f"(default {DEFAULT_MAX_RETRIES})",
     )
     return parent
 
 
 def _warn_ignored(args: argparse.Namespace, command: str, *flags: str) -> None:
-    """Tell the user a shared flag has no effect for this subcommand."""
+    """Tell the user a shared flag they set has no effect for this
+    subcommand."""
+    defaults = _shared_run_parent()
     for flag in flags:
-        dest = flag.lstrip("-").replace("-", "_")
-        if getattr(args, dest, None):
+        dest = defaults._option_string_actions[flag].dest  # noqa: SLF001
+        if getattr(args, dest, None) != defaults.get_default(dest):
             print(
                 f"warning: {flag} has no effect for '{command}'",
                 file=sys.stderr,
             )
+
+
+def _runner(args: argparse.Namespace) -> TaskRunner:
+    """The one supervision policy of a run: ``--jobs``,
+    ``--task-budget`` and ``--retries``."""
+    return TaskRunner(
+        jobs=args.jobs,
+        task_timeout=args.task_timeout,
+        max_retries=args.max_retries,
+    )
 
 
 def _print_metrics_summary() -> None:
@@ -195,7 +214,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             criterion,
             max_accepted=args.max_accepted,
             store=session.store,
-            jobs=args.jobs,
+            runner=_runner(args),
             session_stats=session.stats,
         ).result
     else:
@@ -272,7 +291,8 @@ def _classify_remote(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     _warn_ignored(
-        args, "baseline", "--jobs", "--store", "--checkpoint", "--resume"
+        args, "baseline", "--jobs", "--store", "--checkpoint", "--resume",
+        "--task-budget", "--retries",
     )
     circuit = load_circuit(args.circuit)
     result = baseline_rd(circuit, method=args.method)
@@ -300,9 +320,7 @@ def cmd_compare_sorts(args: argparse.Namespace) -> int:
         sorts,
         sample_size=args.sample_size,
         seed=args.seed,
-        jobs=args.jobs,
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries,
+        runner=_runner(args),
     )
     failed = 0
     for label in kinds:
@@ -330,16 +348,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"--params must be comma-separated ints: {args.params!r}")
     if not parameters:
         raise SystemExit("--params needs at least one value")
-    extra = {} if args.max_retries is None else {"max_retries": args.max_retries}
     points = sweep_family(
         FAMILIES[args.family],
         parameters,
         classification_budget=args.budget,
-        jobs=args.jobs,
+        runner=_runner(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
-        task_timeout=args.task_timeout,
-        **extra,
     )
     table = TextTable(
         ["param", "gates", "logical paths", "accepted", "classify time"],
@@ -616,7 +631,7 @@ def cmd_reanalyze(args: argparse.Namespace) -> int:
         criterion=criterion,
         sort=sort,
         max_accepted=args.max_accepted,
-        jobs=args.jobs,
+        runner=_runner(args),
     )
     if args.json:
         print(to_json(report.to_dict()))
@@ -631,7 +646,6 @@ def cmd_tightness(args: argparse.Namespace) -> int:
     """Exact vs. approximate RD% (the Lemma-2 gap) via repro.verdict."""
     if args.remote is not None:
         return _tightness_remote(args)
-    from repro.experiments.supervisor import TaskRunner
     from repro.verdict import run_tightness
 
     _warn_ignored(args, "tightness", "--checkpoint", "--resume")
@@ -639,15 +653,12 @@ def cmd_tightness(args: argparse.Namespace) -> int:
     circuits = None
     if args.circuits:
         circuits = [load_circuit(spec) for spec in args.circuits]
-    runner_kwargs: dict = {"jobs": args.jobs}
-    if args.max_retries is not None:
-        runner_kwargs["max_retries"] = args.max_retries
     report = run_tightness(
         circuits,
         criterion,
         args.sort,
         store=args.store,
-        runner=TaskRunner(**runner_kwargs),
+        runner=_runner(args),
         max_inputs=args.max_inputs,
         max_accepted=args.max_accepted,
     )
@@ -722,7 +733,7 @@ def cmd_signoff(args: argparse.Namespace) -> int:
         seed=args.seed,
         base=base,
         store=args.store,
-        jobs=args.jobs,
+        runner=_runner(args),
     )
     return _print_signoff(args, report)
 
@@ -760,26 +771,24 @@ def _print_signoff(args: argparse.Namespace, report) -> int:
     return 0
 
 
-def _supervision_kwargs(args: argparse.Namespace) -> dict:
-    """The shared table1/2/3 supervision options, as keyword arguments."""
-    if getattr(args, "resume", False) and getattr(args, "checkpoint", None) is None:
+def _table_kwargs(args: argparse.Namespace) -> dict:
+    """The table1/2/3 run options: the runner, checkpoint and store."""
+    if args.resume and args.checkpoint is None:
         raise SystemExit("--resume requires --checkpoint FILE")
     return {
-        "jobs": getattr(args, "jobs", 1),
-        "checkpoint": getattr(args, "checkpoint", None),
-        "resume": getattr(args, "resume", False),
-        "task_timeout": getattr(args, "task_timeout", None),
-        "max_retries": getattr(args, "max_retries", None),
-        "store": getattr(args, "store", None),
+        "runner": _runner(args),
+        "checkpoint": args.checkpoint,
+        "resume": args.resume,
+        "store": args.store,
     }
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     from repro.experiments import table1
 
-    kwargs = _supervision_kwargs(args)
+    kwargs = _table_kwargs(args)
     if getattr(args, "json", False):
-        from repro.experiments.report import table1_to_dict, to_json
+        from repro.experiments.report import table1_to_dict
 
         _table, rows = table1.run(**kwargs)
         print(to_json(table1_to_dict(rows)))
@@ -793,7 +802,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     from repro.experiments import table2
 
-    table2.main(**_supervision_kwargs(args))
+    table2.main(**_table_kwargs(args))
     if getattr(args, "verbose", False):
         _print_metrics_summary()
     return 0
@@ -802,9 +811,9 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_table3(args: argparse.Namespace) -> int:
     from repro.experiments import table3
 
-    kwargs = _supervision_kwargs(args)
+    kwargs = _table_kwargs(args)
     if getattr(args, "json", False):
-        from repro.experiments.report import table3_to_dict, to_json
+        from repro.experiments.report import table3_to_dict
 
         _table, rows = table3.run(**kwargs)
         print(to_json(table3_to_dict(rows)))

@@ -4,7 +4,9 @@ Section III argues that minimising ``|LP(σ)|`` *maximises the fault
 coverage*, defined as (robustly testable selected paths) / ``|LP(σ)|``
 — the untestable selected paths are the DFT liabilities.  This module
 estimates that coverage for a given sort by sampling the selected set
-and SAT-checking robust testability per sample, and compares sorts.
+and SAT-checking robust testability per sample, and compares sorts —
+one task per sort, fanned out by the caller's
+:class:`~repro.experiments.supervisor.TaskRunner` (``runner=``).
 """
 
 from __future__ import annotations
@@ -95,21 +97,18 @@ def compare_sorts(
     sorts: "dict[str, InputSort]",
     sample_size: int = 100,
     seed: int = 0,
-    jobs: int = 1,
     *,
-    task_timeout: "float | None" = None,
-    max_retries: "int | None" = None,
     runner: "TaskRunner | None" = None,
 ) -> "dict[str, CoverageEstimate]":
     """Coverage estimates for several sorts on one circuit.
 
-    With ``jobs > 1`` the per-sort estimates (one classification pass +
-    SAT testability sampling each) fan out across the supervised
-    :class:`~repro.experiments.supervisor.TaskRunner` — crashed workers
-    are retried then degraded in-process, and each worker's telemetry
-    is merged back into this process's registry.  The seeded sampling
-    makes results identical across job counts.  A sort whose task fails
-    even after degradation maps to a
+    With ``runner=TaskRunner(jobs=N)`` the per-sort estimates (one
+    classification pass + SAT testability sampling each) fan out across
+    the supervised :class:`~repro.experiments.supervisor.TaskRunner` —
+    crashed workers are retried then degraded in-process, and each
+    worker's telemetry is merged back into this process's registry.
+    The seeded sampling makes results identical across job counts.  A
+    sort whose task fails even after degradation maps to a
     :class:`~repro.experiments.supervisor.RowFailure` instead of an
     estimate.
     """
@@ -118,17 +117,12 @@ def compare_sorts(
         (circuit, sorts[label], label, sample_size, seed) for label in labels
     ]
     if runner is None:
-        extra = {} if max_retries is None else {"max_retries": max_retries}
-        runner = TaskRunner(jobs=jobs, **extra)
-    budgets = None
-    if task_timeout is not None and runner.jobs > 1:
-        budgets = [task_timeout] * len(work)
+        runner = TaskRunner()
     # One shared session would be wasted across processes; per-call
     # sessions still dedupe the counts/tables within each estimate.
     estimates = runner.map(
         _coverage_task,
         work,
         labels=[f"{circuit.name}/{label}" for label in labels],
-        budgets=budgets,
     )
     return dict(zip(labels, estimates))

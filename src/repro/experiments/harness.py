@@ -19,20 +19,23 @@ without a DFS where FS^sup = NR^sup (Lemma 1; see
 :class:`~repro.classify.session.CircuitSession`).
 
 Multi-circuit runs fan out through the supervised
-:class:`~repro.experiments.supervisor.TaskRunner` when ``jobs > 1`` (one
-session per worker process); ``jobs=1`` is the deterministic in-process
-fallback.  Task payloads stay tiny because circuits pickle as their bare
-netlist dict (name/types/names/fanin — a few KB): workers rebuild the
-flat IR, literal closures and session caches locally on first use, and
-lead numbering/fingerprints come out identical on both sides by
-construction, so store keys written by a worker hit from the parent.  Results are identical either way — only wall-clock changes —
-because every pass is deterministic and the runner preserves input
-order.  The supervisor adds per-task wall-clock budgets derived from
-each circuit's exact path count, bounded retry with pool respawn on
-worker crashes, and in-process degradation: a row is recorded as a
-structured :class:`~repro.experiments.supervisor.RowFailure` only after
-retries *and* the in-process rerun failed, so one bad circuit never
-aborts a table run.
+:class:`~repro.experiments.supervisor.TaskRunner` passed as ``runner=``:
+``TaskRunner(jobs=N)`` runs one session per worker process, and the
+default ``TaskRunner()`` is the deterministic in-process fallback.
+Task payloads stay tiny because circuits pickle as their bare netlist
+dict (name/types/names/fanin — a few KB): workers rebuild the flat IR,
+literal closures and session caches locally on first use, and lead
+numbering/fingerprints come out identical on both sides by
+construction, so store keys written by a worker hit from the parent.
+Results are identical either way — only wall-clock changes — because
+every pass is deterministic and the runner preserves input order.  The
+supervisor adds per-task wall-clock budgets derived from each circuit's
+exact path count (or the runner's flat ``task_timeout``), bounded retry
+with pool respawn on worker crashes, and in-process degradation: a row
+is recorded as a structured
+:class:`~repro.experiments.supervisor.RowFailure` only after retries
+*and* the in-process rerun failed, so one bad circuit never aborts a
+table run.
 
 Completed rows can be streamed to a JSONL checkpoint (``checkpoint=``)
 and skipped on a rerun (``resume=True``) — the final tables are
@@ -40,7 +43,8 @@ byte-identical whether a run went straight through, was resumed after a
 kill, or degraded around faults.
 
 Passing ``store=`` (a path or :class:`~repro.store.db.ResultStore`)
-warm-starts every row from the persistent content-addressed cache: each
+warm-starts every row from the persistent content-addressed cache: the
+store travels in each task payload and pickles as its path, so each
 worker opens its own connection to the shared SQLite file (WAL mode
 makes concurrent pool access safe), completed passes are written back,
 and a repeated or resumed table run serves its classification passes and
@@ -59,51 +63,16 @@ from repro.classify.conditions import Criterion
 from repro.classify.session import CircuitSession
 from repro.obs import span
 from repro.experiments.supervisor import (
-    DEFAULT_MAX_RETRIES,
     Checkpoint,
     RowFailure,
     TaskRunner,
     as_checkpoint,
-    default_task_budget,
+    resumable_map,
 )
-from repro.paths.count import count_paths
 from repro.sorting.heuristics import heuristic2_analysis
 from repro.sorting.input_sort import InputSort
-from repro.store.db import ResultStore
+from repro.store.db import ResultStore, as_store
 from repro.util.timer import Stopwatch
-
-
-def _store_spec(store: "ResultStore | str | None") -> "str | None":
-    """Normalize a ``store=`` argument to a picklable path (pool tasks
-    carry the path; every worker opens its own connection)."""
-    if store is None:
-        return None
-    if isinstance(store, ResultStore):
-        return store.path
-    return str(store)
-
-
-def _make_runner(
-    runner: "TaskRunner | None", jobs: int, max_retries: int
-) -> TaskRunner:
-    """The caller's preconfigured runner, or a fresh default one."""
-    if runner is not None:
-        return runner
-    return TaskRunner(jobs=jobs, max_retries=max_retries)
-
-
-def _circuit_budgets(
-    circuits: "list[Circuit]", task_timeout: "float | None"
-) -> "list[float]":
-    """Per-task wall-clock budgets: a flat override, or derived from
-    each circuit's exact logical path count (a cheap DP — no
-    enumeration)."""
-    if task_timeout is not None:
-        return [task_timeout] * len(circuits)
-    return [
-        default_task_budget(count_paths(circuit).total_logical)
-        for circuit in circuits
-    ]
 
 
 @dataclass
@@ -202,106 +171,53 @@ def run_table1_row(
 
 
 def _table1_task(
-    payload: "tuple[Circuit, int | None, str | None]",
+    payload: "tuple[Circuit, int | None, ResultStore | None]",
 ) -> Table1Row:
     """Top-level worker (must be picklable for the process pool)."""
     circuit, max_accepted, store = payload
     return run_table1_row(circuit, max_accepted=max_accepted, store=store)
 
 
-def _run_checkpointed_rows(
-    circuits: "list[Circuit]",
-    task,
-    payload_of,
-    row_type,
-    kind: str,
-    jobs: int,
-    checkpoint,
-    resume: bool,
-    task_timeout: "float | None",
-    max_retries: int,
-    runner: "TaskRunner | None",
-) -> list:
-    """Shared supervised/checkpointed driver for the table-row runners.
-
-    Rows come back in ``circuits`` order, one entry per circuit: a
-    ``row_type`` instance, or a :class:`RowFailure` if the task failed
-    even after retry and in-process degradation.  With ``resume=True``
-    circuits whose rows are already in the checkpoint are not recomputed
-    (rows are keyed by circuit name, so names must be unique).
-    """
-    circuits = list(circuits)
-    ckpt: "Checkpoint | None" = as_checkpoint(checkpoint, kind)
-    done: dict = {}
-    if ckpt is not None and resume:
-        done = {
-            name: row_type.from_dict(data)
-            for name, data in ckpt.load().items()
-        }
-    todo = [circuit for circuit in circuits if circuit.name not in done]
-    results = dict(done)
-
-    def on_result(index: int, result) -> None:
-        if ckpt is not None and isinstance(result, row_type):
-            ckpt.record(result.name, result.to_dict())
-
-    supervisor = _make_runner(runner, jobs, max_retries)
-    pooled = supervisor.jobs > 1 and len(todo) > 1
-    fresh = supervisor.map(
-        task,
-        [payload_of(circuit) for circuit in todo],
-        labels=[circuit.name for circuit in todo],
-        budgets=_circuit_budgets(todo, task_timeout) if pooled else None,
-        on_result=on_result,
-    )
-    for circuit, result in zip(todo, fresh):
-        results[circuit.name] = result
-    return [results[circuit.name] for circuit in circuits]
-
-
 def run_table1_rows(
     circuits: Iterable[Circuit],
     max_accepted: int | None = None,
-    jobs: int = 1,
     *,
+    runner: "TaskRunner | None" = None,
     checkpoint: "str | Checkpoint | None" = None,
     resume: bool = False,
-    task_timeout: "float | None" = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    runner: "TaskRunner | None" = None,
     store: "ResultStore | str | None" = None,
 ) -> "list[Table1Row | RowFailure]":
     """Table-I rows for several circuits, optionally in parallel.
 
-    ``jobs=1`` runs in-process; ``jobs > 1`` fans circuits out across a
-    supervised process pool (see :mod:`repro.experiments.supervisor`).
-    Row order always follows ``circuits``, and all RD-percentage columns
-    are bit-identical across job counts, faults and resumes.
+    ``runner`` (default: an in-process ``TaskRunner()``) carries the
+    supervision policy: ``TaskRunner(jobs=N)`` fans circuits out across a
+    supervised process pool (see :mod:`repro.experiments.supervisor`),
+    its ``task_timeout`` replaces the path-count-derived per-task
+    budgets, and its ``max_retries``/``fault_hook`` apply per task.  Row
+    order always follows ``circuits``, and all RD-percentage columns are
+    bit-identical across job counts, faults and resumes.
 
     ``checkpoint`` (a path or :class:`Checkpoint`) streams each
     completed row to JSONL; ``resume=True`` skips circuits already
-    recorded there.  ``task_timeout`` is a flat per-task wall-clock
-    budget overriding the path-count-derived default; ``runner`` lets a
-    caller supply a preconfigured :class:`TaskRunner` (e.g. with a fault
-    hook — then ``jobs``/``max_retries`` here are ignored).  ``store``
-    (a path or :class:`~repro.store.db.ResultStore`) warm-starts rows
-    from the persistent result cache; it composes with every other
-    option — checkpoints record finished *rows*, the store caches the
-    *passes* inside a row, so a resumed run recomputes nothing at all.
+    recorded there (rows are keyed by circuit name, so names must be
+    unique).  ``store`` (a path or
+    :class:`~repro.store.db.ResultStore`) warm-starts rows from the
+    persistent result cache; it composes with every other option —
+    checkpoints record finished *rows*, the store caches the *passes*
+    inside a row, so a resumed run recomputes nothing at all.
     """
-    spec = _store_spec(store)
-    return _run_checkpointed_rows(
-        list(circuits),
-        _table1_task,
-        lambda circuit: (circuit, max_accepted, spec),
-        Table1Row,
-        "table1",
-        jobs,
-        checkpoint,
-        resume,
-        task_timeout,
-        max_retries,
+    store = as_store(store)
+    return resumable_map(
         runner,
+        _table1_task,
+        circuits,
+        lambda circuit: (
+            (circuit, max_accepted, store), circuit.name, circuit
+        ),
+        Table1Row,
+        as_checkpoint(checkpoint, "table1"),
+        resume,
+        key=lambda circuit: circuit.name,
     )
 
 
@@ -363,7 +279,9 @@ def run_table3_row(
     )
 
 
-def _table3_task(payload: "tuple[Circuit, str, str | None]") -> Table3Row:
+def _table3_task(
+    payload: "tuple[Circuit, str, ResultStore | None]",
+) -> Table3Row:
     circuit, baseline_method, store = payload
     return run_table3_row(circuit, baseline_method=baseline_method, store=store)
 
@@ -371,34 +289,30 @@ def _table3_task(payload: "tuple[Circuit, str, str | None]") -> Table3Row:
 def run_table3_rows(
     circuits: Iterable[Circuit],
     baseline_method: str = "greedy",
-    jobs: int = 1,
     *,
+    runner: "TaskRunner | None" = None,
     checkpoint: "str | Checkpoint | None" = None,
     resume: bool = False,
-    task_timeout: "float | None" = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    runner: "TaskRunner | None" = None,
     store: "ResultStore | str | None" = None,
 ) -> "list[Table3Row | RowFailure]":
     """Table-III rows for several circuits, optionally in parallel.
 
-    Supervision, checkpointing, resume and the persistent ``store`` work
+    ``runner``, checkpointing, resume and the persistent ``store`` work
     exactly as in :func:`run_table1_rows` (checkpoint kind ``table3``;
     the store accelerates the Heu2 passes, never the exact baseline).
     """
-    spec = _store_spec(store)
-    return _run_checkpointed_rows(
-        list(circuits),
-        _table3_task,
-        lambda circuit: (circuit, baseline_method, spec),
-        Table3Row,
-        "table3",
-        jobs,
-        checkpoint,
-        resume,
-        task_timeout,
-        max_retries,
+    store = as_store(store)
+    return resumable_map(
         runner,
+        _table3_task,
+        circuits,
+        lambda circuit: (
+            (circuit, baseline_method, store), circuit.name, circuit
+        ),
+        Table3Row,
+        as_checkpoint(checkpoint, "table3"),
+        resume,
+        key=lambda circuit: circuit.name,
     )
 
 

@@ -7,7 +7,6 @@ same measurements as plain dictionaries for downstream tooling
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from repro.experiments.harness import Table1Row, Table3Row
@@ -61,7 +60,3 @@ def table3_to_dict(rows: "Iterable[Table3Row | RowFailure]") -> dict:
             for row in rows
         ],
     }
-
-
-def to_json(payload: dict, indent: int = 2) -> str:
-    return json.dumps(payload, indent=indent, sort_keys=True)

@@ -8,10 +8,10 @@ traceback and zero partial results.  This module wraps every pool task
 in a supervisor with three independent defenses:
 
 **Per-task wall-clock budgets.**  Each task gets a timeout derived from
-the circuit's exact logical path count (:func:`default_task_budget`) or
-a flat caller override.  A task over budget is presumed hung: the pool
-is torn down (hung workers are killed, not joined), and the task is
-retried in a fresh pool.
+the circuit's exact logical path count (:func:`circuit_budgets`) or the
+runner's flat :attr:`TaskRunner.task_timeout`.  A task over budget is
+presumed hung: the pool is torn down (hung workers are killed, not
+joined), and the task is retried in a fresh pool.
 
 **Bounded retry with exponential backoff.**  Worker crashes
 (``BrokenProcessPool``), pickling errors, timeouts and in-task
@@ -32,10 +32,16 @@ real task body, and never on the in-process degradation path — so a
 hook that kills, hangs or raises exercises exactly the recovery
 machinery.  Hooks must be picklable (module-level functions).
 
+One :class:`TaskRunner` holds the whole policy (``jobs``,
+``task_timeout``, ``max_retries``, ``fault_hook``); every fan-out entry
+point of the library takes it as ``runner=`` (``None`` = an in-process
+``TaskRunner()``), and the CLI builds one from ``--jobs``,
+``--task-budget`` and ``--retries``.
+
 Completed rows can be streamed to an append-only JSONL
-:class:`Checkpoint`; re-running with ``resume=True`` skips every row
-already on disk, making long sweeps restartable after a SIGKILL with
-byte-identical final tables.
+:class:`Checkpoint`; :func:`resumable_map` re-runs with ``resume=True``
+skip every row already on disk, making long sweeps restartable after a
+SIGKILL with byte-identical final tables.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from repro.obs import (
     task_observation_begin,
     task_observation_collect,
 )
+from repro.paths.count import count_paths
 
 #: default retry budget: a task may fail ``1 + DEFAULT_MAX_RETRIES``
 #: times in the pool before it degrades to the in-process rerun.
@@ -77,6 +84,15 @@ def default_task_budget(
     is unaffected thanks to in-process degradation).
     """
     return floor + per_million * (total_logical / 1_000_000.0)
+
+
+def circuit_budgets(circuits: "Sequence") -> "list[float]":
+    """:func:`default_task_budget` of each circuit, from its exact
+    logical path count (a cheap DP — no enumeration)."""
+    return [
+        default_task_budget(count_paths(circuit).total_logical)
+        for circuit in circuits
+    ]
 
 
 @dataclass(frozen=True)
@@ -168,13 +184,16 @@ class TaskRunner:
     ``jobs=1`` (or a single task) runs everything in-process — the
     deterministic fallback; no pool, no timeouts, no fault hook.  With
     ``jobs > 1`` tasks fan out under the supervision policy described in
-    the module docstring.  Results always come back in input order and
-    are bit-identical across job counts (every task is deterministic);
-    only wall-clock and the recovery :attr:`events` differ.
+    the module docstring; ``task_timeout``, when set, is a flat per-task
+    budget that overrides whatever budgets the caller derived.  Results
+    always come back in input order and are bit-identical across job
+    counts (every task is deterministic); only wall-clock and the
+    recovery :attr:`events` differ.
     """
 
     jobs: int = 1
     max_retries: int = DEFAULT_MAX_RETRIES
+    task_timeout: "float | None" = None
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     degrade_in_process: bool = True
@@ -200,7 +219,8 @@ class TaskRunner:
 
         ``labels`` name the tasks in events/failures (default
         ``task-<i>``); ``budgets`` are per-task wall-clock seconds
-        (``None`` = wait forever), only enforced in pool mode;
+        (``None`` = wait forever; :attr:`task_timeout` replaces them
+        when set), only enforced in pool mode;
         ``on_result`` fires once per task as soon as its final result
         (row or :class:`RowFailure`) is known — the checkpoint streaming
         hook.  Slots of failed tasks hold :class:`RowFailure`.
@@ -214,6 +234,8 @@ class TaskRunner:
             raise ValueError("labels must match payloads")
         if budgets is not None and len(budgets) != n:
             raise ValueError("budgets must match payloads")
+        if self.task_timeout is not None:
+            budgets = [self.task_timeout] * n
         if self.jobs <= 1 or n <= 1:
             results = []
             for i, payload in enumerate(payloads):
@@ -460,3 +482,56 @@ def as_checkpoint(
     if checkpoint is None or isinstance(checkpoint, Checkpoint):
         return checkpoint
     return Checkpoint(checkpoint, kind)
+
+
+def resumable_map(
+    runner: "TaskRunner | None",
+    fn: Callable,
+    items: Sequence,
+    prepare: "Callable[[object], tuple[object, str, object]]",
+    row_type: type,
+    checkpoint: "Checkpoint | None" = None,
+    resume: bool = False,
+    key: "Callable[[object], str]" = str,
+) -> list:
+    """``runner.map(fn, …)`` over ``items`` with checkpoint streaming
+    (``runner=None`` runs an in-process ``TaskRunner()``).
+
+    ``prepare(item)`` returns ``(payload, label, circuit)`` — the circuit
+    sizes the task's derived budget (:func:`circuit_budgets`, pool runs
+    without a :attr:`TaskRunner.task_timeout` only).  Every completed
+    ``row_type`` result is recorded in ``checkpoint`` under
+    ``key(item)``; with ``resume=True`` items already recorded there are
+    not even prepared.  Results come back in ``items`` order: a
+    ``row_type`` instance, or a :class:`RowFailure` if the task failed
+    even after retry and in-process degradation.  Keys must be unique.
+    """
+    if runner is None:
+        runner = TaskRunner()
+    items = list(items)
+    done: dict = {}
+    if checkpoint is not None and resume:
+        done = {
+            name: row_type.from_dict(data)
+            for name, data in checkpoint.load().items()
+        }
+    pending = [item for item in items if key(item) not in done]
+    todo = [key(item) for item in pending]
+    work = [prepare(item) for item in pending]
+    budgets = None
+    if runner.jobs > 1 and len(work) > 1 and runner.task_timeout is None:
+        budgets = circuit_budgets([circuit for _p, _l, circuit in work])
+
+    def on_result(index: int, result) -> None:
+        if checkpoint is not None and isinstance(result, row_type):
+            checkpoint.record(todo[index], result.to_dict())
+
+    fresh = runner.map(
+        fn,
+        [payload for payload, _l, _c in work],
+        labels=[label for _p, label, _c in work],
+        budgets=budgets,
+        on_result=on_result,
+    )
+    done.update(zip(todo, fresh))
+    return [done[key(item)] for item in items]

@@ -8,8 +8,8 @@ paper's "could not be completed" entries).
 
 Circuits are built serially (generator families are often lambdas,
 which do not pickle), but the measurements themselves fan out through
-the supervised :class:`~repro.experiments.supervisor.TaskRunner` when
-``jobs > 1``; each point runs through its own
+the supervised :class:`~repro.experiments.supervisor.TaskRunner` passed
+as ``runner=``; each point runs through its own
 :class:`~repro.classify.session.CircuitSession`, so the exact count
 feeding ``total_logical`` is also the one the classifier reports
 against — one DP per point.
@@ -29,14 +29,12 @@ from repro.circuit.netlist import Circuit
 from repro.classify.conditions import Criterion
 from repro.classify.session import CircuitSession
 from repro.errors import ClassifyError
-from repro.paths.count import count_paths
 from repro.experiments.supervisor import (
-    DEFAULT_MAX_RETRIES,
     Checkpoint,
     RowFailure,
     TaskRunner,
     as_checkpoint,
-    default_task_budget,
+    resumable_map,
 )
 from repro.util.timer import Stopwatch
 
@@ -121,65 +119,37 @@ def sweep_family(
     family: Callable[[int], Circuit],
     parameters: "Sequence[int] | Iterable[int]",
     classification_budget: int = 500_000,
-    jobs: int = 1,
     *,
+    runner: "TaskRunner | None" = None,
     checkpoint: "str | Checkpoint | None" = None,
     resume: bool = False,
-    task_timeout: "float | None" = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    runner: "TaskRunner | None" = None,
 ) -> "list[SweepPoint | RowFailure]":
     """Measure one generator family across ``parameters``.
 
     Classification (FS criterion) runs only while the *accepted* path
     count stays within ``classification_budget``; larger instances are
-    counted exactly but not enumerated.  ``jobs > 1`` measures the
-    points concurrently under supervision (point order and values are
-    unchanged; a point that fails even after retry and in-process
-    degradation comes back as a
+    counted exactly but not enumerated.  ``runner=TaskRunner(jobs=N)``
+    measures the points concurrently under supervision (point order and
+    values are unchanged; a point that fails even after retry and
+    in-process degradation comes back as a
     :class:`~repro.experiments.supervisor.RowFailure`).  ``checkpoint``
     / ``resume`` stream and skip completed points, keyed by parameter.
     """
-    parameters = list(parameters)
-    ckpt = as_checkpoint(checkpoint, "sweep")
-    done: "dict[int, SweepPoint]" = {}
-    if ckpt is not None and resume:
-        done = {
-            int(key): SweepPoint.from_dict(data)
-            for key, data in ckpt.load().items()
-        }
-    todo = [parameter for parameter in parameters if parameter not in done]
-    work = [
-        (parameter, family(parameter), classification_budget)
-        for parameter in todo
-    ]
-    if runner is None:
-        runner = TaskRunner(jobs=jobs, max_retries=max_retries)
-    budgets = None
-    if runner.jobs > 1 and len(work) > 1:
-        if task_timeout is not None:
-            budgets = [task_timeout] * len(work)
-        else:
-            budgets = [
-                default_task_budget(count_paths(circuit).total_logical)
-                for _parameter, circuit, _budget in work
-            ]
 
-    def on_result(index: int, result) -> None:
-        if ckpt is not None and isinstance(result, SweepPoint):
-            ckpt.record(str(result.parameter), result.to_dict())
+    def prepare(parameter: int):
+        circuit = family(parameter)
+        payload = (parameter, circuit, classification_budget)
+        return payload, f"sweep[{parameter}]", circuit
 
-    fresh = runner.map(
+    return resumable_map(
+        runner,
         _sweep_task,
-        work,
-        labels=[f"sweep[{parameter}]" for parameter in todo],
-        budgets=budgets,
-        on_result=on_result,
+        parameters,
+        prepare,
+        SweepPoint,
+        as_checkpoint(checkpoint, "sweep"),
+        resume,
     )
-    results: dict = dict(done)
-    for parameter, result in zip(todo, fresh):
-        results[parameter] = result
-    return [results[parameter] for parameter in parameters]
 
 
 def growth_factors(points: "Sequence[SweepPoint]") -> "list[float]":

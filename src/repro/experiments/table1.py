@@ -24,25 +24,18 @@ from repro.util.tables import TextTable
 
 def run(
     circuits: Iterable[Circuit] | None = None,
-    jobs: int = 1,
     *,
+    runner: "TaskRunner | None" = None,
     checkpoint: "str | None" = None,
     resume: bool = False,
-    task_timeout: "float | None" = None,
-    max_retries: "int | None" = None,
-    runner: "TaskRunner | None" = None,
     store: "str | None" = None,
 ) -> "tuple[TextTable, list[Table1Row | RowFailure]]":
-    extra = {} if max_retries is None else {"max_retries": max_retries}
     rows = run_table1_rows(
         circuits if circuits is not None else table1_suite(),
-        jobs=jobs,
+        runner=runner,
         checkpoint=checkpoint,
         resume=resume,
-        task_timeout=task_timeout,
-        runner=runner,
         store=store,
-        **extra,
     )
     table = TextTable(
         ["circuit", "FUS", "Heu1", "Heu2", "inv-Heu2"],
@@ -65,22 +58,15 @@ def run(
 
 
 def main(
-    jobs: int = 1,
     *,
+    runner: "TaskRunner | None" = None,
     checkpoint: "str | None" = None,
     resume: bool = False,
-    task_timeout: "float | None" = None,
-    max_retries: "int | None" = None,
     store: "str | None" = None,
     verbose: bool = False,
 ) -> None:
     table, rows = run(
-        jobs=jobs,
-        checkpoint=checkpoint,
-        resume=resume,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        store=store,
+        runner=runner, checkpoint=checkpoint, resume=resume, store=store
     )
     print(table.render())
     if verbose:

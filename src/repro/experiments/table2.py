@@ -14,7 +14,7 @@ from typing import Iterable
 
 from repro.circuit.netlist import Circuit
 from repro.experiments.harness import Table1Row, run_table1_rows
-from repro.experiments.supervisor import RowFailure
+from repro.experiments.supervisor import RowFailure, TaskRunner
 from repro.gen.suite import count_only_suite, table1_suite
 from repro.paths.count import count_paths
 from repro.util.tables import TextTable
@@ -25,25 +25,20 @@ def run(
     circuits: Iterable[Circuit] | None = None,
     rows: "list[Table1Row | RowFailure] | None" = None,
     include_count_only: bool = True,
-    jobs: int = 1,
     *,
+    runner: "TaskRunner | None" = None,
     checkpoint: "str | None" = None,
     resume: bool = False,
-    task_timeout: "float | None" = None,
-    max_retries: "int | None" = None,
     store: "str | None" = None,
 ) -> TextTable:
     """Render Table II; pass ``rows`` to reuse Table I measurements."""
     if rows is None:
-        extra = {} if max_retries is None else {"max_retries": max_retries}
         rows = run_table1_rows(
             circuits if circuits is not None else table1_suite(),
-            jobs=jobs,
+            runner=runner,
             checkpoint=checkpoint,
             resume=resume,
-            task_timeout=task_timeout,
             store=store,
-            **extra,
         )
     table = TextTable(
         ["circuit", "total logical paths", "CPU-time Heu1", "CPU-time Heu2"],
@@ -76,22 +71,15 @@ def run(
 
 
 def main(
-    jobs: int = 1,
     *,
+    runner: "TaskRunner | None" = None,
     checkpoint: "str | None" = None,
     resume: bool = False,
-    task_timeout: "float | None" = None,
-    max_retries: "int | None" = None,
     store: "str | None" = None,
 ) -> None:
     print(
         run(
-            jobs=jobs,
-            checkpoint=checkpoint,
-            resume=resume,
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-            store=store,
+            runner=runner, checkpoint=checkpoint, resume=resume, store=store
         ).render()
     )
 

@@ -27,13 +27,13 @@ accepted/total/edges, no timing — is byte-identical between a cold
 (storeless) run and a warm ECO run, which the golden tests and the CI
 smoke step pin.
 
-Dirty cones fan out across the supervised
-:class:`~repro.experiments.supervisor.TaskRunner` pool with ``jobs=N``;
-workers ship their telemetry deltas home, so ``jobs=1`` and ``jobs=4``
-produce identical counter totals.  Reuse is observable as the
-``incremental.cones_clean`` / ``incremental.cones_dirty`` /
-``incremental.cone_store_hits`` counters and as each report's
-``reuse_ratio``.
+Dirty cones fan out through the caller's supervised
+:class:`~repro.experiments.supervisor.TaskRunner` (``runner=``; default
+in-process); workers ship their telemetry deltas home, so
+``TaskRunner(jobs=1)`` and ``TaskRunner(jobs=4)`` produce identical
+counter totals.  Reuse is observable as the ``incremental.cones_clean``
+/ ``incremental.cones_dirty`` / ``incremental.cone_store_hits``
+counters and as each report's ``reuse_ratio``.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def _classify_dirty_cone(payload: tuple) -> tuple:
         sort_spec,
         ranks,
         max_accepted,
-        store_spec,
+        store,
         variant,
         cone_fp,
     ) = payload
@@ -301,8 +301,8 @@ def _classify_dirty_cone(payload: tuple) -> tuple:
         result = session.classify(criterion, sort=sort, max_accepted=max_accepted)
     except ClassifyError as exc:
         return ("budget_abort", str(exc))
-    if store_spec is not None:
-        ResultStore(store_spec).put(
+    if store is not None:
+        store.put(
             cone_fp,
             "cone",
             variant,
@@ -328,7 +328,6 @@ def cone_classify(
     sort: "Union[InputSort, str, None]" = None,
     max_accepted: "Optional[int]" = None,
     store: "ResultStore | str | None" = None,
-    jobs: int = 1,
     runner: "Optional[TaskRunner]" = None,
     session_stats: "Optional[SessionStats]" = None,
 ) -> ConeClassifyReport:
@@ -343,12 +342,13 @@ def cone_classify(
     no memo), so it compares only with other cone-granularity runs.
     Without a ``store`` every cone is computed (a cold run —
     the byte-identical baseline of the warm path).  Dirty cones fan out
-    over ``jobs`` supervised workers; a cone that fails after retries
-    raises :class:`HarnessError` (a combined result needs every cone),
-    and a budget abort raises :class:`ClassifyError` just as a
-    whole-circuit pass would.  Given ``session_stats``, every cone
-    answered from the store or computed counts one ``classify_passes``,
-    as every whole-circuit request does.
+    through ``runner`` (default: an in-process ``TaskRunner()``); a cone
+    that fails after retries raises :class:`HarnessError` (a combined
+    result needs every cone), and a budget abort raises
+    :class:`ClassifyError` just as a whole-circuit pass would.  Given
+    ``session_stats``, every cone answered from the store or computed
+    counts one ``classify_passes``, as every whole-circuit request does;
+    the process registry counts each cone once too.
     """
     from repro.experiments.supervisor import RowFailure, TaskRunner
 
@@ -390,7 +390,6 @@ def cone_classify(
                 session_stats.bump("cone_misses")
             dirty.append((cone, variant))
     if dirty:
-        store_spec = None if store is None else store.path
         sort_spec = sort if sort in _SYMBOLIC_SORTS else None
         work = [
             (
@@ -400,14 +399,15 @@ def cone_classify(
                 sort_spec,
                 plans[cone.po][1],
                 max_accepted,
-                store_spec,
+                store,
                 variant,
                 cone.fingerprint,
             )
             for cone, variant in dirty
         ]
-        task_runner = runner if runner is not None else TaskRunner(jobs=jobs)
-        parts = task_runner.map(
+        if runner is None:
+            runner = TaskRunner()
+        parts = runner.map(
             _classify_dirty_cone,
             work,
             labels=[f"{circuit.name}/cone[{cone.output}]" for cone, _ in dirty],
@@ -420,7 +420,9 @@ def cone_classify(
             if part[0] == "budget_abort":
                 raise ClassifyError(part[1])
             if session_stats is not None:
-                session_stats.bump("classify_passes")
+                # the cone's own session already fed the registry's
+                # session.classify_passes; count the caller's field only
+                session_stats.classify_passes += 1
             _tag, total, accepted, edges, elapsed = part
             rows[cone.po] = ConeRow(
                 output=cone.output,
@@ -500,7 +502,6 @@ def reanalyze(
     criterion: Criterion = Criterion.SIGMA_PI,
     sort: "Union[InputSort, str, None]" = None,
     max_accepted: "Optional[int]" = None,
-    jobs: int = 1,
     runner: "Optional[TaskRunner]" = None,
 ) -> ReanalyzeReport:
     """The ECO flow: diff, warm the base design's cones, then classify
@@ -523,7 +524,6 @@ def reanalyze(
         sort=sort,
         max_accepted=max_accepted,
         store=store,
-        jobs=jobs,
         runner=runner,
     )
     edited_report = cone_classify(
@@ -532,7 +532,6 @@ def reanalyze(
         sort=sort,
         max_accepted=max_accepted,
         store=store,
-        jobs=jobs,
         runner=runner,
     )
     return ReanalyzeReport(diff=diff, base=base_report, edited=edited_report)

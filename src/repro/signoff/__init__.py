@@ -11,7 +11,7 @@ Entry points:
 * :func:`signoff` — the full local query on anything
   :func:`repro.loading.load` resolves (path, ``Circuit``,
   ``ScanCircuit``, suite name); scan designs fan out per capture
-  domain across ``jobs`` processes.
+  domain through its ``runner``.
 * :func:`signoff_remote` — the same query through a connected
   :class:`~repro.service.client.ServiceClient`, one wire request per
   domain.

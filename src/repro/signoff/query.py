@@ -412,7 +412,6 @@ def signoff(
     seed: int = 0,
     base: str = "random",
     store=None,
-    jobs: int = 1,
     runner: "TaskRunner | None" = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     max_states: int = DEFAULT_MAX_STATES,
@@ -424,8 +423,9 @@ def signoff(
     ``.bench`` path additionally contributes its embedded ``# delay:``
     annotations and a ``<stem>.delays`` sidecar (sidecar wins).  Each
     capture domain runs as an independent, store-cached job — fanned
-    across ``jobs`` processes — and the merged table is byte-identical
-    at any job count, matching a whole-core run of :func:`signoff_core`.
+    out by ``runner`` (default: an in-process ``TaskRunner()``) — and
+    the merged table is byte-identical at any job count, matching a
+    whole-core run of :func:`signoff_core`.
     """
     query = _prepare_query(
         source, k, slack, scan, delays, annotations, seed, base
@@ -442,7 +442,7 @@ def signoff(
         f"{core.name}:signoff[{capture}]" for capture, _c, _m in query.domains
     ]
     if runner is None:
-        runner = TaskRunner(jobs=jobs)
+        runner = TaskRunner()
     registry = get_registry()
     registry.counter("signoff.requests").inc()
     registry.counter("signoff.domains").inc(len(query.domains))

@@ -16,7 +16,8 @@ one circuit:
 Rows are store-cached under the ``rdfp1:`` fingerprint (kind
 ``"tightness"``) with the never-wrong contract: any malformed or
 inconsistent payload is a miss and recomputed.  The SAT queries fan
-out over ``--jobs`` in path chunks; the deterministic table fields
+out through the caller's ``runner`` (``--jobs`` on the CLI) in path
+chunks; the deterministic table fields
 (path counts, RD percentages, replay counts) are chunking-independent,
 so :meth:`TightnessReport.table_bytes` is byte-identical at any job
 count — solver-work diagnostics (conflicts/decisions/reuse), which do
@@ -326,7 +327,7 @@ def tightness_row(
     if session is None:
         session = CircuitSession(circuit, store=store)
     if runner is None:
-        runner = TaskRunner(jobs=1)
+        runner = TaskRunner()
     sort_obj, sort_label = resolve_sort(session, criterion, sort, max_accepted)
     variant = _tightness_variant(session, criterion, sort_obj)
 

@@ -148,10 +148,11 @@ class TestHungWorker:
     def test_hang_times_out_and_recovers(self):
         clean = run_table1_rows(_circuits())
         runner = TaskRunner(
-            jobs=2, fault_hook=hang_mux_first_attempt, backoff_base=0.01
+            jobs=2, fault_hook=hang_mux_first_attempt, backoff_base=0.01,
+            task_timeout=1.0,
         )
         started = time.monotonic()
-        rows = run_table1_rows(_circuits(), runner=runner, task_timeout=1.0)
+        rows = run_table1_rows(_circuits(), runner=runner)
         elapsed = time.monotonic() - started
         assert _percent_columns(rows) == _percent_columns(clean)
         assert any(e.kind == "timeout" for e in runner.events)
@@ -164,14 +165,15 @@ class TestAcceptance:
         plus one injected hang; every row present and the rendered
         Table I byte-identical to a clean ``jobs=1`` run."""
         runner = TaskRunner(
-            jobs=2, fault_hook=crash_and_hang, backoff_base=0.01
+            jobs=2, fault_hook=crash_and_hang, backoff_base=0.01,
+            task_timeout=1.5,
         )
         started = time.monotonic()
         faulty, rows = table1.run(
-            _circuits(), runner=runner, task_timeout=1.5
+            _circuits(), runner=runner
         )
         elapsed = time.monotonic() - started
-        clean, _ = table1.run(_circuits(), jobs=1)
+        clean, _ = table1.run(_circuits(), runner=TaskRunner(jobs=1))
         assert not any(isinstance(row, RowFailure) for row in rows)
         assert faulty.render() == clean.render()
         assert elapsed < _HANG / 2  # the hang never ran to completion
@@ -185,11 +187,14 @@ class TestAcceptance:
 
     def test_table3_percent_columns_after_faults(self):
         runner = TaskRunner(
-            jobs=2, fault_hook=crash_and_hang, backoff_base=0.01
+            jobs=2, fault_hook=crash_and_hang, backoff_base=0.01,
+            task_timeout=1.5,
         )
         _table, rows = table3.run(
-            _circuits(), runner=runner, task_timeout=1.5
+            _circuits(), runner=runner
         )
-        _clean_table, clean = table3.run(_circuits(), jobs=1)
+        _clean_table, clean = table3.run(
+            _circuits(), runner=TaskRunner(jobs=1),
+        )
         assert [(r.name, r.baseline_percent, r.heu2_percent) for r in rows] \
             == [(r.name, r.baseline_percent, r.heu2_percent) for r in clean]

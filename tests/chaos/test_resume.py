@@ -33,7 +33,7 @@ class TestTable1Resume:
         resumed, _ = table1.run(
             _circuits(), checkpoint=str(ckpt), resume=True
         )
-        straight, _ = table1.run(_circuits(), jobs=1)
+        straight, _ = table1.run(_circuits(), runner=TaskRunner(jobs=1))
         assert resumed.render() == straight.render()
         # the already-done circuit was not recomputed → not re-recorded
         records = ckpt.read_text().splitlines()
@@ -51,7 +51,7 @@ class TestTable1Resume:
         resumed, _ = table1.run(
             _circuits(), checkpoint=str(ckpt), resume=True
         )
-        straight, _ = table1.run(_circuits(), jobs=1)
+        straight, _ = table1.run(_circuits(), runner=TaskRunner(jobs=1))
         assert resumed.render() == straight.render()
 
     def test_without_resume_flag_checkpoint_is_ignored_for_skipping(

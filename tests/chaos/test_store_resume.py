@@ -39,7 +39,7 @@ class TestStoreWithResume:
         store, resume: the final rendered table matches a clean run."""
         store = str(tmp_path / "store.sqlite")
         ckpt = tmp_path / "t1.jsonl"
-        straight, _ = table1.run(_circuits(), jobs=1)
+        straight, _ = table1.run(_circuits(), runner=TaskRunner(jobs=1))
 
         runner = TaskRunner(
             jobs=2,
@@ -55,7 +55,7 @@ class TestStoreWithResume:
 
         resumed, rows = table1.run(
             _circuits(),
-            jobs=2,
+            runner=TaskRunner(jobs=2),
             checkpoint=str(ckpt),
             resume=True,
             store=store,
@@ -68,7 +68,7 @@ class TestStoreWithResume:
         byte-identical and 100% served from the store."""
         store = str(tmp_path / "store.sqlite")
         ckpt = tmp_path / "t1.jsonl"
-        straight, _ = table1.run(_circuits(), jobs=1)
+        straight, _ = table1.run(_circuits(), runner=TaskRunner(jobs=1))
 
         runner = TaskRunner(
             jobs=2,
@@ -81,11 +81,13 @@ class TestStoreWithResume:
             _circuits(), checkpoint=str(ckpt), store=store, runner=runner
         )
         table1.run(
-            _circuits(), jobs=2, checkpoint=str(ckpt), resume=True,
-            store=store,
+            _circuits(), runner=TaskRunner(jobs=2), checkpoint=str(ckpt),
+            resume=True, store=store,
         )
 
-        warm, rows = table1.run(_circuits(), jobs=2, store=store)
+        warm, rows = table1.run(
+            _circuits(), runner=TaskRunner(jobs=2), store=store,
+        )
         assert warm.render() == straight.render()
         for row in rows:
             assert row.session_stats["store_hits"] > 0
@@ -97,7 +99,7 @@ class TestStoreWithResume:
         whatever partial entries landed in the store must still yield a
         byte-identical table on the next healthy run."""
         store = str(tmp_path / "store.sqlite")
-        straight, _ = table1.run(_circuits(), jobs=1)
+        straight, _ = table1.run(_circuits(), runner=TaskRunner(jobs=1))
 
         runner = TaskRunner(
             jobs=2,
@@ -109,7 +111,9 @@ class TestStoreWithResume:
         broken = run_table1_rows(_circuits(), store=store, runner=runner)
         assert all(isinstance(row, RowFailure) for row in broken)
 
-        healthy, rows = table1.run(_circuits(), jobs=2, store=store)
+        healthy, rows = table1.run(
+            _circuits(), runner=TaskRunner(jobs=2), store=store,
+        )
         assert healthy.render() == straight.render()
         assert not any(isinstance(row, RowFailure) for row in rows)
 

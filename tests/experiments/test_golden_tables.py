@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import run_table1_rows, run_table3_rows
+from repro.experiments.supervisor import TaskRunner
 from repro.gen.suite import get_circuit, table1_suite, table3_suite
 from repro.store.db import ResultStore
 from repro.store.fingerprint import fingerprint
@@ -64,7 +65,7 @@ class TestGoldenTable1Quick:
     def test_quick_rows_match_golden(self, jobs):
         golden = _golden_rows("table1")
         circuits = [get_circuit(name) for name in _QUICK_TABLE1]
-        rows = run_table1_rows(circuits, jobs=jobs)
+        rows = run_table1_rows(circuits, runner=TaskRunner(jobs=jobs))
         for row in rows:
             assert _table1_cells(row) == golden[row.name]
 
@@ -98,7 +99,7 @@ class TestGoldenFullSuite:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_table1_all_nine_circuits(self, jobs):
         golden = _golden_rows("table1")
-        rows = run_table1_rows(table1_suite(), jobs=jobs)
+        rows = run_table1_rows(table1_suite(), runner=TaskRunner(jobs=jobs))
         assert [row.name for row in rows] == [
             row["name"] for row in GOLDEN["table1"]
         ]
@@ -114,7 +115,7 @@ class TestGoldenFullSuite:
 
     def test_table3_all_eight_circuits_serial(self):
         golden = _golden_rows("table3")
-        rows = run_table3_rows(table3_suite(), jobs=1)
+        rows = run_table3_rows(table3_suite(), runner=TaskRunner(jobs=1))
         assert [row.name for row in rows] == [
             row["name"] for row in GOLDEN["table3"]
         ]
@@ -128,7 +129,7 @@ class TestGoldenFullSuite:
         golden = _golden_rows("table3")
         names = ("apex-a", "z5xp-b", "bw-d")
         rows = run_table3_rows(
-            [get_circuit(name) for name in names], jobs=4
+            [get_circuit(name) for name in names], runner=TaskRunner(jobs=4)
         )
         for row in rows:
             assert _table3_cells(row) == golden[row.name]

@@ -4,7 +4,8 @@ import json
 
 from repro.circuit.examples import paper_example_circuit
 from repro.experiments.harness import run_table1_row, run_table3_row
-from repro.experiments.report import table1_to_dict, table3_to_dict, to_json
+from repro.experiments.report import table1_to_dict, table3_to_dict
+from repro.util.serialize import to_json
 
 
 def test_table1_json_round_trip():

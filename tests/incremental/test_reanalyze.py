@@ -7,6 +7,7 @@ import pytest
 from repro.classify import CircuitSession, Criterion, classify
 from repro.circuit.gates import GateType
 from repro.errors import ClassifyError
+from repro.experiments.supervisor import TaskRunner
 from repro.gen.random_logic import random_dag
 from repro.gen.suite import get_circuit
 from repro.incremental import cone_classify, diff_circuits, reanalyze
@@ -70,7 +71,9 @@ class TestConeClassify:
             c = get_circuit(name)
         whole = classify(c, Criterion.SIGMA_PI, sort=InputSort.pin_order(c))
         for sort, jobs in (("pin", 2), (None, 1)):
-            report = cone_classify(c, Criterion.SIGMA_PI, sort=sort, jobs=jobs)
+            report = cone_classify(
+                c, Criterion.SIGMA_PI, sort=sort, runner=TaskRunner(jobs=jobs),
+            )
             assert report.result.accepted == whole.accepted
             assert report.result.total_logical == whole.total_logical
 
@@ -127,7 +130,7 @@ class TestConeClassify:
     def test_jobs_parallel_is_deterministic(self, store):
         c = get_circuit("s1908-csel")
         serial = cone_classify(c, Criterion.FS)
-        parallel = cone_classify(c, Criterion.FS, jobs=2)
+        parallel = cone_classify(c, Criterion.FS, runner=TaskRunner(jobs=2))
         assert parallel.table_bytes() == serial.table_bytes()
         # counters are bumped in the parent: totals independent of jobs
         counters = get_registry().snapshot()["counters"]

@@ -66,10 +66,12 @@ class TestHarnessMerge:
         def circuits():
             return [get_circuit("c17"), get_circuit("xcmp16")]
 
-        serial = run_table1_rows(circuits(), jobs=1)
+        serial = run_table1_rows(circuits(), runner=TaskRunner(jobs=1))
         get_registry().reset()
         store = str(tmp_path / "s.sqlite")
-        pooled = run_table1_rows(circuits(), jobs=2, store=store)
+        pooled = run_table1_rows(
+            circuits(), runner=TaskRunner(jobs=2), store=store,
+        )
         assert list(map(_stable_fields, serial)) == list(
             map(_stable_fields, pooled)
         )

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit.sequential import S27_LIKE, parse_sequential_bench
 from repro.delaytest.testability import is_robustly_testable
 from repro.errors import SignoffError
+from repro.experiments.supervisor import TaskRunner
 from repro.paths.enumerate import enumerate_logical_paths
 from repro.signoff import (
     DEFAULT_K,
@@ -112,8 +113,8 @@ class TestScanFanOut:
         }
 
     def test_jobs_do_not_change_bytes(self, scan):
-        serial = signoff(scan, k=6, seed=3, jobs=1)
-        fanned = signoff(scan, k=6, seed=3, jobs=2)
+        serial = signoff(scan, k=6, seed=3, runner=TaskRunner(jobs=1))
+        fanned = signoff(scan, k=6, seed=3, runner=TaskRunner(jobs=2))
         assert serial.table_bytes() == fanned.table_bytes()
 
     def test_default_k(self, scan):

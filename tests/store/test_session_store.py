@@ -11,6 +11,7 @@ from repro.classify.conditions import Criterion
 from repro.classify.session import CircuitSession
 from repro.errors import ClassifyError
 from repro.experiments.harness import run_table1_rows
+from repro.experiments.supervisor import TaskRunner
 from repro.gen.suite import get_circuit
 from repro.store.db import ResultStore
 
@@ -247,8 +248,12 @@ class TestHarnessIntegration:
     def test_jobs2_rows_match_no_store_run(self, store):
         circuits = [paper_example_circuit(), mux_circuit()]
         plain = run_table1_rows(circuits)
-        pooled = run_table1_rows(circuits, jobs=2, store=store)
-        warm = run_table1_rows(circuits, jobs=2, store=store)
+        pooled = run_table1_rows(
+            circuits, runner=TaskRunner(jobs=2), store=store,
+        )
+        warm = run_table1_rows(
+            circuits, runner=TaskRunner(jobs=2), store=store,
+        )
         for a, b, c in zip(plain, pooled, warm):
             assert (a.fus_percent, a.heu1_percent, a.heu2_percent) == (
                 b.fus_percent, b.heu1_percent, b.heu2_percent

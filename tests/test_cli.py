@@ -1,10 +1,15 @@
 """End-to-end tests of the CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, load_circuit, main
+from repro.obs import get_registry
+
+S27 = Path(__file__).resolve().parents[1] / "examples" / "s27_timing.bench"
 
 
 class TestLoadCircuit:
@@ -190,6 +195,61 @@ class TestSupervisionFlags:
         assert "--resume" in err
 
 
+class TestSupervisionReachesEveryPool:
+    """``--task-budget`` and ``--retries`` act wherever ``--jobs`` does:
+    a budget no pool task can meet times every task out, the in-process
+    rerun answers, and the answer is the ``--jobs 1`` one."""
+
+    #: commands whose pool gets at least two tasks (two cones, three
+    #: verdict chunks, four capture domains)
+    POOLED = {
+        "classify": ["classify", "c17", "--criterion", "fs"],
+        "reanalyze": ["reanalyze", "c17", "c17", "--criterion", "fs"],
+        "tightness": ["tightness", "s880-alu"],
+        "signoff": ["signoff", str(S27), "--k", "5"],
+    }
+
+    @staticmethod
+    def _answer(out: str) -> list:
+        """The printed answer: no metrics, session summary or timing."""
+        text = out.split("-- metrics --")[0]
+        return [
+            re.sub(r"\d+\.\d+s\b", "", line)
+            for line in text.splitlines()
+            if not line.startswith("passes=")
+        ]
+
+    @pytest.mark.parametrize("command", sorted(POOLED))
+    def test_budget_and_retries_reach_the_pool(
+        self, command, tmp_path, capsys
+    ):
+        argv = self.POOLED[command]
+        if command == "reanalyze":
+            argv = argv + ["--store", str(tmp_path / "serial.sqlite")]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        if command == "reanalyze":
+            argv = argv[:-1] + [str(tmp_path / "pooled.sqlite")]
+        get_registry().reset()
+        assert main(argv + [
+            "--jobs", "2", "--task-budget", "0.000001", "--retries", "0",
+            "-v",
+        ]) == 0
+        pooled = capsys.readouterr().out
+        assert re.search(r"^\s*supervisor\.timeout\s+[1-9]", pooled, re.M)
+        assert self._answer(pooled) == self._answer(serial)
+
+    def test_baseline_warns_about_every_ignored_supervision_flag(
+        self, capsys
+    ):
+        assert main(
+            ["baseline", "c17", "--task-budget", "5", "--retries", "0"]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "--task-budget has no effect" in err
+        assert "--retries has no effect" in err
+
+
 class TestSharedFlagFamily:
     """One parent parser: every run-style subcommand spells every
     shared flag the same way."""
@@ -284,6 +344,16 @@ class TestNewSubcommands:
         assert main(argv) == 0
         summary = capsys.readouterr().out.splitlines()[1]
         assert summary.startswith("passes=2 ")
+
+    def test_classify_jobs_registry_counts_each_cone_once(self, capsys):
+        """The cone workers' own sessions feed the registry; the
+        caller's session counts the same passes, not a second time."""
+        get_registry().reset()
+        argv = ["classify", "c17", "--criterion", "fs", "--jobs", "2", "-v"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].startswith("passes=2 ")
+        assert re.search(r"^\s*session\.classify_passes\s+2$", out, re.M)
 
     def test_classify_jobs_store_warm_run_reads_every_cone(
         self, capsys, tmp_path
