@@ -16,14 +16,13 @@ Subcommands::
     repro-rd cache stats results.sqlite   # also: gc, clear
     repro-rd info my_circuit.bench        # file inputs work everywhere
 
-Run-style subcommands (classify, baseline, compare-sorts, sweep,
-table1/2/3, reanalyze, tightness, signoff) share one flag family —
-``--jobs``, ``--store``, ``--checkpoint``, ``--resume``,
-``--trace-out``, ``-v`` plus the supervision budget/retry knobs —
-declared once in a parent parser, so every command spells every option
-the same way.  ``--jobs``, ``--task-budget`` and ``--retries`` build one
-:class:`~repro.experiments.supervisor.TaskRunner` that every fanned-out
-command runs its pool tasks under.
+Run-style subcommands take only the flag groups they act on, each
+declared once in a parent parser (:func:`_flag_groups`): pool
+(``--jobs``, ``--task-budget``, ``--retries``: one
+:class:`~repro.experiments.supervisor.TaskRunner` for every fan-out),
+store (``--store``), checkpoint (``--checkpoint``, ``--resume``) and
+telemetry (``--trace-out``, ``-v``).  Any other flag, and any numeric
+value out of range, is an argparse error (exit 2).
 """
 
 from __future__ import annotations
@@ -86,23 +85,67 @@ _MAX_ACCEPTED_HELP = (
 )
 
 
-# -- shared flag family -----------------------------------------------------
+# -- flag groups and numeric types -------------------------------------------
 
-def _shared_run_parent() -> argparse.ArgumentParser:
-    """The flag family every run-style subcommand accepts (classify,
-    baseline, compare-sorts, sweep, table1/2/3, reanalyze, tightness,
-    signoff)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    g = parent.add_argument_group("shared run options")
+def _number(kind: type, *, positive: bool):
+    """An argparse type: a ``kind`` (int or float) that is > 0
+    (``positive``) or >= 0, rejected with a one-line usage error."""
+    floor = "positive" if positive else "non-negative"
+    noun = "integer" if kind is int else "number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            )
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a {floor} {noun}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, positive=True)
+_non_negative_int = _number(int, positive=False)
+_positive_float = _number(float, positive=True)
+_non_negative_float = _number(float, positive=False)
+
+
+def _flag_groups() -> "tuple[argparse.ArgumentParser, ...]":
+    """The run commands' flag groups as parent parsers — ``(pool,
+    store, checkpoint, telemetry)``; each command lists the groups it
+    acts on."""
+    pool, store, checkpoint, telemetry = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
+    g = pool.add_argument_group("pool options")
     g.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="worker processes (work fans out; 1 = in-process)",
     )
     g.add_argument(
+        "--task-budget", dest="task_timeout", type=_positive_float,
+        default=None, metavar="SECONDS",
+        help="flat wall-clock budget for every pool task (default: "
+        "derived from each circuit's exact path count for table and "
+        "sweep rows, none elsewhere; --jobs > 1 only)",
+    )
+    g.add_argument(
+        "--retries", dest="max_retries", type=_non_negative_int,
+        default=DEFAULT_MAX_RETRIES, metavar="N",
+        help="pool retries per task before the in-process rerun "
+        f"(default {DEFAULT_MAX_RETRIES})",
+    )
+    store.add_argument_group("store options").add_argument(
         "--store", metavar="FILE", default=None,
         help="persistent result store shared by all workers "
         "(SQLite; created if missing)",
     )
+    g = checkpoint.add_argument_group("checkpoint options")
     g.add_argument(
         "--checkpoint", metavar="FILE", default=None,
         help="stream completed rows to this JSONL file",
@@ -111,6 +154,7 @@ def _shared_run_parent() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="skip work already recorded in --checkpoint",
     )
+    g = telemetry.add_argument_group("telemetry options")
     g.add_argument(
         "--trace-out", metavar="FILE", default=None,
         help="write tracing spans plus a merged metrics snapshot as "
@@ -120,33 +164,7 @@ def _shared_run_parent() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true",
         help="print telemetry (session cache counters, metrics summary)",
     )
-    g.add_argument(
-        "--task-budget", dest="task_timeout", type=float, default=None,
-        metavar="SECONDS",
-        help="flat wall-clock budget for every pool task (default: "
-        "derived from each circuit's exact path count for table and "
-        "sweep rows, none elsewhere; --jobs > 1 only)",
-    )
-    g.add_argument(
-        "--retries", dest="max_retries", type=int,
-        default=DEFAULT_MAX_RETRIES, metavar="N",
-        help="pool retries per task before the in-process rerun "
-        f"(default {DEFAULT_MAX_RETRIES})",
-    )
-    return parent
-
-
-def _warn_ignored(args: argparse.Namespace, command: str, *flags: str) -> None:
-    """Tell the user a shared flag they set has no effect for this
-    subcommand."""
-    defaults = _shared_run_parent()
-    for flag in flags:
-        dest = defaults._option_string_actions[flag].dest  # noqa: SLF001
-        if getattr(args, dest, None) != defaults.get_default(dest):
-            print(
-                f"warning: {flag} has no effect for '{command}'",
-                file=sys.stderr,
-            )
+    return pool, store, checkpoint, telemetry
 
 
 def _runner(args: argparse.Namespace) -> TaskRunner:
@@ -200,7 +218,6 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.remote is not None:
         return _classify_remote(args)
-    _warn_ignored(args, "classify", "--checkpoint", "--resume")
     session = CircuitSession(load_circuit(args.circuit), store=args.store)
     criterion = CRITERIA[args.criterion]
     sort_used = None
@@ -272,15 +289,16 @@ def _classify_remote(args: argparse.Namespace) -> int:
             max_accepted=args.max_accepted,
             on_event=events.append if args.verbose else None,
         )
-    if getattr(args, "json", False):
+    if args.json:
         print(to_json(result))
         return 0
-    print(
-        f"{result['name']} [{result['criterion']}]: "
-        f"{result['accepted']}/{result['total_logical']} accepted, "
-        f"{result['rd_percent']:.2f}% RD, {result['elapsed']:.2f}s "
-        f"(remote {args.remote})"
+    from repro.classify.results import ClassificationResult
+
+    shown = ClassificationResult(
+        result["name"], Criterion[result["criterion"]],
+        result["total_logical"], result["accepted"], result["elapsed"],
     )
+    print(f"{shown} (remote {args.remote})")
     if args.verbose:
         for event in events:
             print(f"  event: {event}")
@@ -290,10 +308,6 @@ def _classify_remote(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    _warn_ignored(
-        args, "baseline", "--jobs", "--store", "--checkpoint", "--resume",
-        "--task-budget", "--retries",
-    )
     circuit = load_circuit(args.circuit)
     result = baseline_rd(circuit, method=args.method)
     print(result)
@@ -307,7 +321,6 @@ def cmd_compare_sorts(args: argparse.Namespace) -> int:
     from repro.experiments.coverage_study import compare_sorts
     from repro.experiments.supervisor import RowFailure
 
-    _warn_ignored(args, "compare-sorts", "--checkpoint", "--resume", "--store")
     circuit = load_circuit(args.circuit)
     kinds = [kind.strip() for kind in args.sorts.split(",") if kind.strip()]
     session = CircuitSession(circuit)
@@ -341,7 +354,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import FAMILIES, SweepPoint, sweep_family
     from repro.util.tables import TextTable
 
-    _warn_ignored(args, "sweep", "--store")
     try:
         parameters = [int(p) for p in args.params.split(",") if p.strip()]
     except ValueError:
@@ -518,6 +530,10 @@ def cmd_dot(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"--stabilize needs {len(circuit.inputs)} bits of 0/1"
             )
+        if args.po >= len(circuit.outputs):
+            raise SystemExit(
+                f"--po needs an output index below {len(circuit.outputs)}"
+            )
         vector = tuple(int(b) for b in bits)
         system = compute_stabilizing_system(
             circuit, circuit.outputs[args.po], vector
@@ -539,6 +555,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if (args.socket is None) == (args.port is None):
         raise SystemExit("serve needs exactly one of --socket PATH or --port N")
+    if args.port is not None and args.port > 65535:
+        raise SystemExit(f"--port must be at most 65535, got {args.port}")
 
     def announce(address: str) -> None:
         where = address if args.socket else f"tcp://{address}"
@@ -619,7 +637,6 @@ def cmd_reanalyze(args: argparse.Namespace) -> int:
 
     if args.store is None:
         raise SystemExit("reanalyze requires --store FILE")
-    _warn_ignored(args, "reanalyze", "--checkpoint", "--resume")
     base = load_circuit(args.base)
     edited = load_circuit(args.edited)
     criterion = CRITERIA[args.criterion]
@@ -633,71 +650,65 @@ def cmd_reanalyze(args: argparse.Namespace) -> int:
         max_accepted=args.max_accepted,
         runner=_runner(args),
     )
-    if args.json:
-        print(to_json(report.to_dict()))
-        return 0
-    print(report.render())
-    if args.verbose:
-        _print_metrics_summary()
-    return 0
+    return _print_report(args, report)
 
 
 def cmd_tightness(args: argparse.Namespace) -> int:
     """Exact vs. approximate RD% (the Lemma-2 gap) via repro.verdict."""
-    if args.remote is not None:
-        return _tightness_remote(args)
-    from repro.verdict import run_tightness
-
-    _warn_ignored(args, "tightness", "--checkpoint", "--resume")
     criterion = CRITERIA[args.criterion]
-    circuits = None
-    if args.circuits:
-        circuits = [load_circuit(spec) for spec in args.circuits]
-    report = run_tightness(
-        circuits,
-        criterion,
-        args.sort,
-        store=args.store,
-        runner=_runner(args),
-        max_inputs=args.max_inputs,
-        max_accepted=args.max_accepted,
-    )
-    if args.json:
-        print(to_json(report.to_dict()))
-        return 0
-    print(report.render())
-    if args.verbose:
-        _print_metrics_summary()
-    return 0
+    if args.remote is not None:
+        report = _tightness_remote(args, criterion)
+    else:
+        from repro.verdict import run_tightness
 
-
-def _tightness_remote(args: argparse.Namespace) -> int:
-    """``tightness --remote``: one daemon request per circuit."""
-    from repro.service.client import RetryPolicy, ServiceClient
-    from repro.verdict.tightness import default_suite_circuits
-
-    specs = list(args.circuits) or default_suite_circuits(args.max_inputs)
-    rows = []
-    with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
-        for name in specs:
-            rows.append(client.tightness(
-                circuit=_remote_circuit(name),
-                criterion=args.criterion,
-                sort=args.sort,
-                max_accepted=args.max_accepted,
-            ))
-    if args.json:
-        print(to_json({"rows": rows}))
-        return 0
-    for row in rows:
-        print(
-            f"{row['circuit']} [{row['criterion']}]: "
-            f"approx {row['approx_rd_percent']:.2f}% vs exact "
-            f"{row['exact_rd_percent']:.2f}% RD "
-            f"({row['refuted']} refuted of {row['approx_accepted']} "
-            f"accepted; remote {args.remote})"
+        report = run_tightness(
+            [load_circuit(spec) for spec in args.circuits] or None,
+            criterion,
+            args.sort,
+            store=args.store,
+            runner=_runner(args),
+            max_inputs=args.max_inputs,
+            max_accepted=args.max_accepted,
         )
-    return 0
+    return _print_report(args, report)
+
+
+def _tightness_remote(args: argparse.Namespace, criterion: Criterion):
+    """``tightness --remote``: :func:`~repro.verdict.run_tightness`'s
+    sweep (PI ceiling, budget SKIP rows, report), each decided row one
+    daemon request."""
+    from repro.errors import ClassifyError, RemoteError
+    from repro.service.client import RetryPolicy, ServiceClient
+    from repro.verdict.tightness import (
+        TightnessRow,
+        _sweep,
+        default_suite_circuits,
+    )
+
+    sent = {}  # each circuit -> what its request carries
+    for spec in args.circuits or default_suite_circuits(args.max_inputs):
+        wire = _remote_circuit(spec)
+        sent[wire if isinstance(wire, Circuit) else load_circuit(spec)] = wire
+
+    with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
+
+        def decide(circuit: Circuit) -> TightnessRow:
+            try:
+                return TightnessRow.from_dict(client.tightness(
+                    circuit=sent[circuit],
+                    criterion=args.criterion,
+                    sort=args.sort,
+                    max_accepted=args.max_accepted,
+                ))
+            except RemoteError as exc:
+                if exc.error_type == ClassifyError.__name__:
+                    raise ClassifyError(exc.message) from exc
+                raise
+
+        return _sweep(
+            list(sent), criterion, args.sort, args.max_inputs,
+            args.max_accepted, decide,
+        )
 
 
 def _signoff_delays(args: argparse.Namespace) -> "tuple[str, dict | None]":
@@ -721,7 +732,6 @@ def cmd_signoff(args: argparse.Namespace) -> int:
         return _signoff_remote(args)
     from repro.signoff import signoff
 
-    _warn_ignored(args, "signoff", "--checkpoint", "--resume")
     base, annotations = _signoff_delays(args)
     report = signoff(
         args.circuit,
@@ -735,7 +745,7 @@ def cmd_signoff(args: argparse.Namespace) -> int:
         store=args.store,
         runner=_runner(args),
     )
-    return _print_signoff(args, report)
+    return _print_report(args, report)
 
 
 def _signoff_remote(args: argparse.Namespace) -> int:
@@ -756,70 +766,46 @@ def _signoff_remote(args: argparse.Namespace) -> int:
             seed=args.seed,
             base=base,
         )
-    return _print_signoff(args, report)
+    return _print_report(args, report)
 
 
-def _print_signoff(args: argparse.Namespace, report) -> int:
-    """The output tail of local and remote signoff: JSON or the table,
-    plus the metrics summary for a verbose local run."""
+def _print_report(args: argparse.Namespace, report) -> int:
+    """The output tail of reanalyze, tightness and signoff, local or
+    remote: JSON or the table, plus the metrics summary for a verbose
+    local run."""
     if args.json:
         print(to_json(report.to_dict()))
     else:
         print(report.render())
-        if args.verbose and args.remote is None:
+        if args.verbose and getattr(args, "remote", None) is None:
             _print_metrics_summary()
     return 0
 
 
-def _table_kwargs(args: argparse.Namespace) -> dict:
-    """The table1/2/3 run options: the runner, checkpoint and store."""
+def cmd_table(args: argparse.Namespace) -> int:
+    """``table1`` / ``table2`` / ``table3``: regenerate one of the
+    paper's tables (``--json`` on table1/table3)."""
+    from importlib import import_module
+
     if args.resume and args.checkpoint is None:
         raise SystemExit("--resume requires --checkpoint FILE")
-    return {
+    module = import_module(f"repro.experiments.{args.command}")
+    kwargs = {
         "runner": _runner(args),
         "checkpoint": args.checkpoint,
         "resume": args.resume,
         "store": args.store,
     }
-
-
-def cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments import table1
-
-    kwargs = _table_kwargs(args)
     if getattr(args, "json", False):
-        from repro.experiments.report import table1_to_dict
+        from repro.experiments import report
 
-        _table, rows = table1.run(**kwargs)
-        print(to_json(table1_to_dict(rows)))
+        _table, rows = module.run(**kwargs)
+        print(to_json(getattr(report, f"{args.command}_to_dict")(rows)))
         return 0
-    table1.main(**kwargs, verbose=getattr(args, "verbose", False))
-    if getattr(args, "verbose", False):
-        _print_metrics_summary()
-    return 0
-
-
-def cmd_table2(args: argparse.Namespace) -> int:
-    from repro.experiments import table2
-
-    table2.main(**_table_kwargs(args))
-    if getattr(args, "verbose", False):
-        _print_metrics_summary()
-    return 0
-
-
-def cmd_table3(args: argparse.Namespace) -> int:
-    from repro.experiments import table3
-
-    kwargs = _table_kwargs(args)
-    if getattr(args, "json", False):
-        from repro.experiments.report import table3_to_dict
-
-        _table, rows = table3.run(**kwargs)
-        print(to_json(table3_to_dict(rows)))
-        return 0
-    table3.main(**kwargs, verbose=getattr(args, "verbose", False))
-    if getattr(args, "verbose", False):
+    if args.command != "table2":  # Table II prints no per-row stats
+        kwargs["verbose"] = args.verbose
+    module.main(**kwargs)
+    if args.verbose:
         _print_metrics_summary()
     return 0
 
@@ -840,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"repro-rd {package_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = _shared_run_parent()
+    pool, store, checkpoint, telemetry = _flag_groups()
 
     sub.add_parser("list", help="list suite circuits").set_defaults(fn=cmd_list)
 
@@ -854,7 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser(
-        "classify", parents=[shared], help="run the RD classifier"
+        "classify", parents=[pool, store, telemetry],
+        help="run the RD classifier",
     )
     p.add_argument("circuit")
     p.add_argument(
@@ -868,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="seed for --sort random")
     p.add_argument(
-        "--max-accepted", type=int, default=None,
+        "--max-accepted", type=_non_negative_int, default=None,
         help=_MAX_ACCEPTED_HELP + "; with --jobs N and --criterion fs|nr "
         "the passes run per output cone and this is a per-cone budget, "
         "as for reanalyze",
@@ -881,14 +868,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser(
-        "baseline", parents=[shared], help="run the exact baseline of [1]"
+        "baseline", parents=[telemetry], help="run the exact baseline of [1]"
     )
     p.add_argument("circuit")
     p.add_argument("--method", choices=["greedy", "exact"], default="greedy")
     p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser(
-        "compare-sorts", parents=[shared],
+        "compare-sorts", parents=[pool, telemetry],
         help="sampled robust fault coverage per input sort",
     )
     p.add_argument("circuit")
@@ -897,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated sort names to compare",
     )
     p.add_argument(
-        "--sample-size", type=int, default=100,
+        "--sample-size", type=_positive_int, default=100,
         help="paths SAT-sampled per sort",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -906,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.sweep import FAMILIES
 
     p = sub.add_parser(
-        "sweep", parents=[shared],
+        "sweep", parents=[pool, checkpoint, telemetry],
         help="scaling sweep over one generator family",
     )
     p.add_argument("family", choices=sorted(FAMILIES))
@@ -915,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated family parameters (e.g. widths)",
     )
     p.add_argument(
-        "--budget", type=int, default=500_000,
+        "--budget", type=_non_negative_int, default=500_000,
         help="max accepted paths before a point degrades to count-only",
     )
     p.set_defaults(fn=cmd_sweep)
@@ -928,10 +915,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", choices=[*SORT_KINDS, "random"],
         default="heu2",
     )
-    p.add_argument("--limit", type=int, default=20,
+    p.add_argument("--limit", type=_non_negative_int, default=20,
                    help="max paths to print tests for")
-    p.add_argument("--max-accepted", type=int, default=100_000,
-                   help=_MAX_ACCEPTED_HELP)
+    p.add_argument("--max-accepted", type=_non_negative_int,
+                   default=100_000, help=_MAX_ACCEPTED_HELP)
     p.set_defaults(fn=cmd_testgen)
 
     p = sub.add_parser(
@@ -944,21 +931,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", choices=[*SORT_KINDS, "random"],
         default="heu2",
     )
-    p.add_argument("--max-accepted", type=int, default=100_000,
-                   help=_MAX_ACCEPTED_HELP)
+    p.add_argument("--max-accepted", type=_non_negative_int,
+                   default=100_000, help=_MAX_ACCEPTED_HELP)
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("sta", help="static timing + k slowest paths")
     p.add_argument("circuit")
     p.add_argument("--delays", choices=["unit", "random"], default="unit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-k", type=int, default=5, help="paths to list (0 = none)")
+    p.add_argument(
+        "-k", type=_non_negative_int, default=5,
+        help="paths to list (0 = none)",
+    )
     p.set_defaults(fn=cmd_sta)
 
     p = sub.add_parser("atpg", help="full stuck-at ATPG flow")
     p.add_argument("circuit")
     p.add_argument("--engine", choices=["podem", "sat"], default="podem")
-    p.add_argument("--random-burst", type=int, default=64)
+    p.add_argument("--random-burst", type=_non_negative_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--show-redundant", action="store_true")
     p.set_defaults(fn=cmd_atpg)
@@ -969,17 +959,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--stabilize", metavar="BITS", default=None,
         help="highlight the stabilizing system for this input vector",
     )
-    p.add_argument("--po", type=int, default=0, help="output index for --stabilize")
+    p.add_argument(
+        "--po", type=_non_negative_int, default=0,
+        help="output index for --stabilize",
+    )
     p.set_defaults(fn=cmd_dot)
 
-    p = sub.add_parser("table1", parents=[shared], help="regenerate Table I")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(fn=cmd_table1)
-    p = sub.add_parser("table2", parents=[shared], help="regenerate Table II")
-    p.set_defaults(fn=cmd_table2)
-    p = sub.add_parser("table3", parents=[shared], help="regenerate Table III")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(fn=cmd_table3)
+    for number in ("1", "2", "3"):
+        p = sub.add_parser(
+            f"table{number}", parents=[pool, store, checkpoint, telemetry],
+            help=f"regenerate Table {'I' * int(number)}",
+        )
+        if number != "2":
+            p.add_argument("--json", action="store_true", help="emit JSON")
+        p.set_defaults(fn=cmd_table)
     sub.add_parser("figures", help="regenerate Figures 1-5").set_defaults(
         fn=cmd_figures
     )
@@ -991,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--socket", metavar="PATH", default=None,
                    help="listen on a unix socket")
-    p.add_argument("--port", type=int, default=None,
+    p.add_argument("--port", type=_non_negative_int, default=None,
                    help="listen on TCP (0 = ephemeral)")
     p.add_argument("--host", default="127.0.0.1", help="TCP bind address")
     p.add_argument(
@@ -1003,12 +996,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="max classifications in flight per process (default 8)",
     )
     p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="flat per-request wall-clock budget (default: derived "
         "from each circuit's exact path count)",
     )
     p.add_argument(
-        "--max-accepted", type=int, default=None,
+        "--max-accepted", type=_non_negative_int, default=None,
         help="server-wide abort threshold on accepted paths, also "
         "bounding Heuristic 2's FS/NR sort passes",
     )
@@ -1045,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser(
-        "reanalyze", parents=[shared],
+        "reanalyze", parents=[pool, store, telemetry],
         help="incremental (ECO) re-classification via the cone store",
     )
     p.add_argument("base", help="suite name or .bench/.pla file")
@@ -1059,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-cone input sort for --criterion sigma",
     )
     p.add_argument(
-        "--max-accepted", type=int, default=None,
+        "--max-accepted", type=_non_negative_int, default=None,
         help="per-cone acceptance budget, also bounding each cone's "
         "Heuristic 2 FS/NR sort passes (part of the cone store key)",
     )
@@ -1067,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reanalyze)
 
     p = sub.add_parser(
-        "tightness", parents=[shared],
+        "tightness", parents=[pool, store, telemetry],
         help="exact vs. approximate RD%% per circuit (SAT-backed verdicts)",
     )
     p.add_argument(
@@ -1089,7 +1083,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cross-checkable against the brute-force oracle (default 20)",
     )
     p.add_argument(
-        "--max-accepted", type=int, default=50_000, metavar="N",
+        "--max-accepted", type=_non_negative_int, default=50_000,
+        metavar="N",
         help="SKIP circuits where any classifier pass, Heuristic 2's "
         "FS/NR sort passes included, accepts more paths than this "
         "(bounds SAT queries per circuit; default 50000)",
@@ -1102,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tightness)
 
     p = sub.add_parser(
-        "signoff", parents=[shared],
+        "signoff", parents=[pool, store, telemetry],
         help="K-longest / above-slack robustly-testable paths under "
         "annotated delays",
     )
@@ -1152,24 +1147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["stats", "gc", "clear"])
     p.add_argument("store", metavar="FILE", help="store file")
     p.add_argument(
-        "--max-age-days", type=float, default=None,
+        "--max-age-days", type=_non_negative_float, default=None,
         help="for gc: also drop entries unused for this long",
     )
     p.set_defaults(fn=cmd_cache)
     return parser
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: reject 0 and negatives loudly."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
 
 
 def main(argv: list | None = None) -> int:

@@ -27,8 +27,8 @@ depend on query order, live only in :meth:`TightnessRow.to_dict`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.circuit.netlist import Circuit
 from repro.classify.conditions import Criterion
@@ -122,6 +122,16 @@ class TightnessRow:
             "witness_replays": self.witness_replays,
             "skipped": self.skipped,
         }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "TightnessRow":
+        """The row :meth:`to_dict` wrote (a ``tightness`` wire answer
+        included); derived and unknown keys are ignored."""
+        names = {f.name for f in fields(cls)} - {"sort_label"}
+        return cls(
+            sort_label=payload["sort"],
+            **{name: payload[name] for name in names},
+        )
 
     def to_dict(self) -> dict:
         row = self.table_row()
@@ -272,12 +282,6 @@ def _verdict_chunk_task(payload):
 
 
 # -- store plumbing -----------------------------------------------------
-def _tightness_variant(session: CircuitSession, criterion: Criterion,
-                       sort: "InputSort | None") -> str:
-    sort_key = "none" if sort is None else session.canonical.sort_key(sort.ranks)
-    return f"{criterion.name}|{sort_key}"
-
-
 def _load_tightness_payload(payload: dict, max_accepted: "int | None"):
     """Strict never-wrong validation; anything off is a miss."""
     if payload.get("schema") != TIGHTNESS_SCHEMA:
@@ -329,7 +333,8 @@ def tightness_row(
     if runner is None:
         runner = TaskRunner()
     sort_obj, sort_label = resolve_sort(session, criterion, sort, max_accepted)
-    variant = _tightness_variant(session, criterion, sort_obj)
+    # the classify row's key string: stores written before keep hitting
+    variant = session._classify_variant(criterion, sort_obj)  # noqa: SLF001
 
     def make_row(total, approx, exact, replays, counters, source):
         conflicts, decisions, reuse = counters
@@ -440,7 +445,6 @@ def run_tightness(
     """
     from repro.gen.suite import get_circuit
 
-    start = time.perf_counter()
     if circuits is None:
         circuits = [get_circuit(name) for name in default_suite_circuits(max_inputs)]
     else:
@@ -449,52 +453,50 @@ def run_tightness(
         circuits = [
             c if isinstance(c, Circuit) else as_core(c) for c in circuits
         ]
+    return _sweep(
+        circuits, criterion, sort, max_inputs, max_accepted,
+        lambda circuit: tightness_row(
+            circuit, criterion, sort, store=store, runner=runner,
+            max_accepted=max_accepted, max_conflicts=max_conflicts,
+        ),
+    )
+
+
+def _sweep(
+    circuits: "Iterable[Circuit]",
+    criterion: Criterion,
+    sort: "InputSort | str | None",
+    max_inputs: int,
+    max_accepted: "int | None",
+    decide: "Callable[[Circuit], TightnessRow]",
+) -> TightnessReport:
+    """The sweep loop of :func:`run_tightness` and ``repro-rd tightness
+    --remote``: a SKIP row for a circuit over the PI ceiling or whose
+    ``decide`` raises :class:`ClassifyError`, else ``decide``'s row."""
+    start = time.perf_counter()
+
+    def skip(circuit: Circuit, reason: str) -> TightnessRow:
+        return TightnessRow(
+            circuit.name, criterion.name, "-", 0, 0, 0, 0,
+            source="skipped", skipped=reason,
+        )
+
     rows = []
     for circuit in circuits:
         n_inputs = len(circuit.inputs)
         if n_inputs > max_inputs:
             rows.append(
-                TightnessRow(
-                    circuit=circuit.name,
-                    criterion=criterion.name,
-                    sort_label="-",
-                    total_logical=0,
-                    approx_accepted=0,
-                    exact_accepted=0,
-                    witness_replays=0,
-                    source="skipped",
-                    skipped=f"{n_inputs} PIs > --max-inputs {max_inputs}",
-                )
+                skip(circuit, f"{n_inputs} PIs > --max-inputs {max_inputs}")
             )
             continue
         try:
-            row = tightness_row(
-                circuit,
-                criterion,
-                sort,
-                store=store,
-                runner=runner,
-                max_accepted=max_accepted,
-                max_conflicts=max_conflicts,
-            )
-            rows.append(row)
+            rows.append(decide(circuit))
         except ClassifyError:
-            rows.append(
-                TightnessRow(
-                    circuit=circuit.name,
-                    criterion=criterion.name,
-                    sort_label="-",
-                    total_logical=0,
-                    approx_accepted=0,
-                    exact_accepted=0,
-                    witness_replays=0,
-                    source="skipped",
-                    skipped=(
-                        f"classifier accepted > {max_accepted} paths "
-                        f"(--max-accepted budget)"
-                    ),
-                )
-            )
+            rows.append(skip(
+                circuit,
+                f"classifier accepted > {max_accepted} paths "
+                f"(--max-accepted budget)",
+            ))
     return TightnessReport(
         criterion=criterion,
         sort_label=_sort_label(criterion, sort),

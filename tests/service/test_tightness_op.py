@@ -1,12 +1,16 @@
 """The daemon's ``tightness`` op: exact verdicts over the wire."""
 
+import json
+
 import pytest
 
 from repro.circuit.examples import paper_example_circuit
+from repro.cli import main
 from repro.errors import RemoteError
 from repro.obs import reset_registry
 from repro.service.client import ServiceClient
 
+from tests.service.test_op_schema import servers  # noqa: F401
 from tests.service.test_server import _unix_server, harness  # noqa: F401
 
 
@@ -92,3 +96,49 @@ class TestTightnessOp:
         assert counters["service.op.tightness"] == 1
         assert counters["verdict.queries"] >= 22
         assert counters["verdict.witness_replays"] >= 1
+
+
+#: keys of a ``tightness --json`` payload that hold solver work, timing
+#: or provenance, not the table
+_VOLATILE = ("conflicts", "decisions", "learned_reuse", "elapsed", "source")
+
+
+def _table_fields(payload: dict) -> dict:
+    """The ``table_payload`` fields of a ``tightness --json`` payload."""
+    table = {k: v for k, v in payload.items() if k != "wall_seconds"}
+    table["rows"] = [
+        {k: v for k, v in row.items() if k not in _VOLATILE}
+        for row in payload["rows"]
+    ]
+    return table
+
+
+class TestCliRemoteTightness:
+    """``repro-rd tightness --remote`` runs the local sweep: the PI
+    ceiling and the budget SKIP rule give the same table from the daemon
+    and from the fleet."""
+
+    CASES = {
+        "pi-ceiling": ["c17", "s432-rand", "--max-inputs", "10"],
+        "budget": ["s432-rand", "--max-accepted", "10", "--max-inputs", "64"],
+    }
+
+    @pytest.mark.parametrize("server", ["daemon", "fleet"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_remote_table_equals_local(self, servers, server, case, capsys):
+        argv = ["tightness", *self.CASES[case], "--json"]
+        assert main(argv) == 0
+        local = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--remote", servers[server]]) == 0
+        remote = json.loads(capsys.readouterr().out)
+        assert _table_fields(remote) == _table_fields(local)
+        assert [row["skipped"] != "" for row in local["rows"]] == (
+            [False, True] if case == "pi-ceiling" else [True]
+        )
+
+    def test_remote_text_table_equals_local(self, servers, capsys):
+        argv = ["tightness", "c17", "s432-rand", "--max-inputs", "10"]
+        assert main(argv) == 0
+        local = capsys.readouterr().out
+        assert main(argv + ["--remote", servers["daemon"]]) == 0
+        assert capsys.readouterr().out == local

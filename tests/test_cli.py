@@ -239,56 +239,142 @@ class TestSupervisionReachesEveryPool:
         assert re.search(r"^\s*supervisor\.timeout\s+[1-9]", pooled, re.M)
         assert self._answer(pooled) == self._answer(serial)
 
-    def test_baseline_warns_about_every_ignored_supervision_flag(
-        self, capsys
-    ):
-        assert main(
-            ["baseline", "c17", "--task-budget", "5", "--retries", "0"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "--task-budget has no effect" in err
-        assert "--retries has no effect" in err
+    def test_baseline_rejects_every_supervision_flag(self, capsys):
+        for flag, value in (
+            ("--jobs", "2"), ("--task-budget", "5"), ("--retries", "0"),
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["baseline", "c17", flag, value])
+            assert exc_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+#: each run command's flag groups: ``(argv, value)`` per flag and the
+#: parsed attribute it sets
+FLAG_GROUPS = {
+    "pool": {
+        "--jobs": (["--jobs", "2"], "jobs", 2),
+        "--task-budget": (["--task-budget", "9"], "task_timeout", 9.0),
+        "--retries": (["--retries", "2"], "max_retries", 2),
+    },
+    "store": {"--store": (["--store", "s.sqlite"], "store", "s.sqlite")},
+    "checkpoint": {
+        "--checkpoint": (["--checkpoint", "c.jsonl"], "checkpoint", "c.jsonl"),
+        "--resume": (["--resume"], "resume", True),
+    },
+    "telemetry": {
+        "--trace-out": (["--trace-out", "t.jsonl"], "trace_out", "t.jsonl"),
+        "-v": (["-v"], "verbose", True),
+    },
+}
+
+ALL_GROUPS = {"pool", "store", "checkpoint", "telemetry"}
+
+#: every run command, a minimal argv and the flag groups it acts on
+RUN_COMMANDS = {
+    "classify": (["classify", "c17"], {"pool", "store", "telemetry"}),
+    "baseline": (["baseline", "c17"], {"telemetry"}),
+    "compare-sorts": (["compare-sorts", "c17"], {"pool", "telemetry"}),
+    "sweep": (
+        ["sweep", "parity_tree", "--params", "2"],
+        {"pool", "checkpoint", "telemetry"},
+    ),
+    "table1": (["table1"], ALL_GROUPS),
+    "table2": (["table2"], ALL_GROUPS),
+    "table3": (["table3"], ALL_GROUPS),
+    "reanalyze": (["reanalyze", "c17", "c17"], {"pool", "store", "telemetry"}),
+    "tightness": (["tightness"], {"pool", "store", "telemetry"}),
+    "signoff": (["signoff", "c17"], {"pool", "store", "telemetry"}),
+}
+
+#: the (command, flag) pairs a command does not act on
+REMOVED_PAIRS = [
+    (command, flag)
+    for command, (_argv, groups) in RUN_COMMANDS.items()
+    for group in sorted(ALL_GROUPS - groups)
+    for flag in FLAG_GROUPS[group]
+]
 
 
 class TestSharedFlagFamily:
-    """One parent parser: every run-style subcommand spells every
-    shared flag the same way."""
+    """Each run command takes exactly the flag groups it acts on, each
+    spelled the same everywhere; any other group's flag is an argparse
+    error."""
 
-    RUN_COMMANDS = [
-        ["classify", "c17"],
-        ["baseline", "c17"],
-        ["compare-sorts", "c17"],
-        ["sweep", "parity_tree", "--params", "2"],
-        ["table1"],
-        ["table2"],
-        ["table3"],
-    ]
+    @pytest.mark.parametrize("command", list(RUN_COMMANDS))
+    def test_family_parses_everywhere(self, command):
+        base, groups = RUN_COMMANDS[command]
+        flags = [
+            FLAG_GROUPS[group][flag]
+            for group in sorted(groups)
+            for flag in FLAG_GROUPS[group]
+        ]
+        args = build_parser().parse_args(
+            base + [token for argv, _, _ in flags for token in argv]
+        )
+        for _argv, dest, value in flags:
+            assert getattr(args, dest) == value
+
+    def test_eighteen_pairs_removed(self):
+        assert len(REMOVED_PAIRS) == 18
 
     @pytest.mark.parametrize(
-        "base", RUN_COMMANDS, ids=[c[0] for c in RUN_COMMANDS]
+        "command, flag", REMOVED_PAIRS,
+        ids=[f"{command}{flag}" for command, flag in REMOVED_PAIRS],
     )
-    def test_family_parses_everywhere(self, base):
-        args = build_parser().parse_args(
-            base
-            + [
-                "--jobs", "2",
-                "--store", "s.sqlite",
-                "--checkpoint", "c.jsonl",
-                "--resume",
-                "--trace-out", "t.jsonl",
-                "-v",
-                "--task-budget", "9",
-                "--retries", "2",
-            ]
+    def test_removed_pair_exits_2(self, command, flag, capsys):
+        base, _groups = RUN_COMMANDS[command]
+        argv = next(
+            group[flag][0] for group in FLAG_GROUPS.values() if flag in group
         )
-        assert args.jobs == 2
-        assert args.store == "s.sqlite"
-        assert args.checkpoint == "c.jsonl"
-        assert args.resume
-        assert args.trace_out == "t.jsonl"
-        assert args.verbose
-        assert args.task_timeout == 9.0
-        assert args.max_retries == 2
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(base + argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: numeric flags out of range: each must exit non-zero with a one-line
+#: error, never a traceback
+BAD_NUMBERS = [
+    ["sweep", "parity_tree", "--params", "2", "--retries", "-1"],
+    ["classify", "c17", "--retries", "x"],
+    ["classify", "c17", "--task-budget", "-5"],
+    ["classify", "c17", "--task-budget", "0"],
+    ["classify", "c17", "--task-budget", "nan"],
+    ["classify", "c17", "--max-accepted", "-1"],
+    ["testgen", "c17", "--max-accepted", "-1"],
+    ["testgen", "c17", "--limit", "-1"],
+    ["select", "c17", "--max-accepted", "-1"],
+    ["reanalyze", "c17", "c17", "--max-accepted", "-1"],
+    ["tightness", "c17", "--max-accepted", "-1"],
+    ["sweep", "parity_tree", "--params", "2", "--budget", "-1"],
+    ["compare-sorts", "c17", "--sample-size", "-3"],
+    ["compare-sorts", "c17", "--sample-size", "0"],
+    ["sta", "c17", "-k", "-2"],
+    ["dot", "c17", "--stabilize", "00000", "--po", "9"],
+    ["dot", "c17", "--po", "-1"],
+    ["serve", "--port", "0", "--deadline", "0"],
+    ["serve", "--port", "0", "--max-accepted", "-1"],
+    ["serve", "--port", "-1"],
+    ["serve", "--port", "70000"],
+    ["atpg", "c17", "--random-burst", "-1"],
+    ["cache", "gc", "x.sqlite", "--max-age-days", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS, ids=" ".join)
+def test_bad_number_exits_without_traceback(argv, capsys):
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status not in (0, None)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # argparse's usage error, or the one line a SystemExit message prints
+    assert "error: argument" in err or (
+        isinstance(status, str) and "\n" not in status
+    )
 
 
 class TestJsonOutputs:

@@ -24,6 +24,7 @@ from repro.verdict import (
     run_tightness,
     tightness_row,
 )
+from repro.verdict.tightness import TIGHTNESS_SCHEMA
 
 CIRCUITS = ["c17", "apex-a"]
 
@@ -135,6 +136,35 @@ class TestStoreCaching:
                 circuit, Criterion.SIGMA_PI, "heu2",
                 store=store, max_accepted=5,
             )
+
+    @pytest.mark.parametrize(
+        "criterion, sort, variant",
+        [
+            (Criterion.SIGMA_PI, "heu2",
+             "SIGMA_PI|05b621f446c0c7c3b3613026c0149fc3"),
+            (Criterion.NR, None, "NR|none"),
+        ],
+        ids=["sigma-heu2", "nr"],
+    )
+    def test_row_under_the_pinned_key_is_a_warm_hit(
+        self, tmp_path, criterion, sort, variant
+    ):
+        """c17's tightness rows are keyed by these variant strings: a row
+        a store already holds under them is served, not recomputed."""
+        circuit = get_circuit("c17")
+        cold = tightness_row(circuit, criterion, sort)
+        store = str(tmp_path / "verdicts.sqlite")
+        with ResultStore(store) as db:
+            db.put(CircuitSession(circuit).fingerprint, "tightness", variant, {
+                "schema": TIGHTNESS_SCHEMA,
+                "total_logical": cold.total_logical,
+                "approx_accepted": cold.approx_accepted,
+                "exact_accepted": cold.exact_accepted,
+                "replays": cold.witness_replays,
+            })
+        warm = tightness_row(circuit, criterion, sort, store=store)
+        assert warm.source == "store"
+        assert warm.table_row() == cold.table_row()
 
     def test_criteria_do_not_collide_in_store(self, tmp_path):
         store = str(tmp_path / "verdicts.sqlite")
@@ -286,3 +316,9 @@ class TestReportShape:
         text = _report(names=["c17"]).render()
         assert "exact" in text
         assert "c17" in text
+
+    def test_row_round_trips_through_to_dict(self):
+        (row,) = _report(names=["c17"]).rows
+        payload = row.to_dict()
+        payload["fingerprint"] = "rdfp1:ignored"  # extra wire keys
+        assert TightnessRow.from_dict(payload) == row
