@@ -28,6 +28,7 @@ value out of range, is an argparse error (exit 2).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -87,10 +88,12 @@ _MAX_ACCEPTED_HELP = (
 
 # -- flag groups and numeric types -------------------------------------------
 
-def _number(kind: type, *, positive: bool):
+def _number(kind: type, *, positive: "bool | None"):
     """An argparse type: a ``kind`` (int or float) that is > 0
-    (``positive``) or >= 0, rejected with a one-line usage error."""
-    floor = "positive" if positive else "non-negative"
+    (``positive``), >= 0 (``positive=False``) or any value
+    (``positive=None``), rejected with a one-line usage error.  A float
+    must also be finite: NaN and ±inf are refused."""
+    floor = {True: "positive ", False: "non-negative ", None: ""}[positive]
     noun = "integer" if kind is int else "number"
 
     def parse(text: str):
@@ -100,9 +103,13 @@ def _number(kind: type, *, positive: bool):
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}"
             )
-        if not (value > 0 if positive else value >= 0):
+        if not math.isfinite(value):
             raise argparse.ArgumentTypeError(
-                f"must be a {floor} {noun}, got {value}"
+                f"must be a finite {noun}, got {value}"
+            )
+        if positive is not None and not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a {floor}{noun}, got {value}"
             )
         return value
 
@@ -113,6 +120,7 @@ _positive_int = _number(int, positive=True)
 _non_negative_int = _number(int, positive=False)
 _positive_float = _number(float, positive=True)
 _non_negative_float = _number(float, positive=False)
+_finite_float = _number(float, positive=None)
 
 
 def _flag_groups() -> "tuple[argparse.ArgumentParser, ...]":
@@ -925,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
         "select", help="threshold path selection with RD filtering"
     )
     p.add_argument("circuit")
-    p.add_argument("--fraction", type=float, default=0.8,
+    p.add_argument("--fraction", type=_finite_float, default=0.8,
                    help="threshold as a fraction of the longest path delay")
     p.add_argument(
         "--sort", choices=[*SORT_KINDS, "random"],
@@ -1113,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report the N longest robustly-testable paths (default 10)",
     )
     query.add_argument(
-        "--slack", type=float, default=None, metavar="T",
+        "--slack", type=_finite_float, default=None, metavar="T",
         help="report every robustly-testable path with delay >= T",
     )
     p.add_argument(

@@ -23,7 +23,9 @@ Tseitin-encoded once per frame (one frame for FS/NR, two for robust)
 and each path is one SAT query, solved on a pristine copy of a
 never-solved template solver with the path's conditions as level-0
 units.  A query therefore returns the same witness as a solver built
-from scratch for that path, whatever was asked before it.  The
+from scratch for that path, whatever was asked before it.  The copy is
+copy-on-write: it shares the template's clause and watch lists until
+its search rewrites one, so it does not duplicate every literal.  The
 queries are per explicit path and therefore meant for small/medium
 circuits (the fast classifier in :mod:`repro.classify` is the
 scalable approximation).

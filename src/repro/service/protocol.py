@@ -91,6 +91,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,6 +144,9 @@ class Param:
                 f"'{name}' must be {self.type_name}, "
                 f"got {type(value).__name__}"
             )
+        # json.loads reads NaN and ±Infinity as floats
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ProtocolError(f"'{name}' must be a finite number, got {value}")
         if self.choices is not None and value not in self.choices:
             raise ProtocolError(
                 f"unknown {name} {value!r}; valid: {', '.join(self.choices)}"

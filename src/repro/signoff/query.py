@@ -26,6 +26,7 @@ delay recomputed before being served.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import NamedTuple
 
@@ -271,6 +272,8 @@ def _resolve_query(
         k = DEFAULT_K
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
+    if slack is not None and not math.isfinite(slack):
+        raise ValueError(f"slack must be a finite number, got {slack}")
     return k, slack
 
 

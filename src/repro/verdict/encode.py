@@ -27,6 +27,10 @@ added as level-0 units in first-occurrence order, holds exactly the
 state a solver built from scratch for the query's CNF would hold — the
 same clause list, the same unit order, zeroed heuristics — so it finds
 the same model, and only the encoding and the solver set-up are shared.
+:meth:`~repro.atpg.sat.Solver.copy` is copy-on-write: the copy shares
+the template's clause and watch lists and copies each one only when its
+own search first rewrites it, so the copy is still pristine but no
+longer duplicates every literal of the CNF.
 
 Encodings are built lazily and at most once per circuit: frame 1 (the
 one-frame Tseitin encoding, variables ``1..n``) for FS, NR and σ^π

@@ -1,12 +1,17 @@
 """Unit tests for robust test-set generation with compaction."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.classify.conditions import Criterion
 from repro.classify.engine import classify
+from repro.classify.session import CircuitSession
 from repro.delaytest.simulator import simulate_test_set
 from repro.delaytest.testability import is_robustly_testable
 from repro.delaytest.tpg import generate_test_set
+from repro.gen.suite import get_circuit
 from repro.paths.enumerate import enumerate_logical_paths
 from repro.sorting.heuristics import heuristic2_sort
 
@@ -89,3 +94,42 @@ class TestCompaction:
         result = generate_test_set(example_circuit, [])
         assert result.coverage == 1.0
         assert not result.pairs
+
+
+#: sha256 of each test set's pairs, coverage map and untestable list for
+#: testgen's flow (a heu2 σ^π session classify collecting the accepted
+#: paths, then ``generate_test_set``); the same values as the
+#: ``testgen_sha256`` pins of the ``exact`` benchmark workload
+TESTGEN_SHA256 = {
+    "s432-rand": "d5374f637f4939a1ccd0aadb4e133fa7efa86382b6730e654e7f82628b8bb0b9",
+    "apex-c": "354a3e5faf6831486f9a0522ff0df30f5388024f1dc1ff0999a0b3a3578726ef",
+    "bw-d": "6ff5f79229f64e12b7c5e73dfddbd73d01cc5b8eb454d05406566c823d78f08f",
+}
+
+
+def _testgen_digest(test_set) -> str:
+    def key(lp):
+        return [list(lp.path.leads), lp.final_value]
+
+    payload = {
+        "pairs": [[list(v1), list(v2)] for v1, v2 in test_set.pairs],
+        "covered": sorted([key(lp), index] for lp, index in test_set.covered.items()),
+        "untestable": sorted(key(lp) for lp in test_set.untestable),
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TESTGEN_SHA256))
+def test_testgen_witnesses_are_pinned(name):
+    """Every pair is a solver witness, so the digest pins the robust
+    tests' search as well as the compaction around it."""
+    circuit = get_circuit(name)
+    session = CircuitSession(circuit)
+    targets = []
+    session.classify(
+        Criterion.SIGMA_PI, sort=session.heuristic2_sort(),
+        on_path=targets.append,
+    )
+    test_set = generate_test_set(circuit, targets)
+    assert test_set.pairs and test_set.untestable
+    assert _testgen_digest(test_set) == TESTGEN_SHA256[name]

@@ -56,6 +56,10 @@ MALFORMED = [
     {"op": "classify", "circuit": "c17", "criterion": "fs", "sort": "bogus"},
     {"op": "classify", "circuit": "c17", "sort": "bogus"},
     {"op": "tightness", "circuit": "c17", "sort": "bogus"},
+    # json.loads reads these bare tokens as non-finite floats
+    {"op": "signoff", "circuit": "c17", "slack": float("nan")},
+    {"op": "signoff", "circuit": "c17", "slack": float("inf")},
+    {"op": "classify", "circuit": "c17", "deadline": float("-inf")},
 ]
 
 
@@ -83,6 +87,15 @@ class TestMalformedParity:
         assert error_type == "ProtocolError"
         # rejected before any work: no start event was streamed
         assert events == []
+
+    def test_non_finite_numbers_are_named(self, servers):
+        for address in servers.values():
+            for value in (float("nan"), float("inf"), float("-inf")):
+                error_type, text, events = _answer(
+                    address, {"op": "signoff", "circuit": "c17", "slack": value}
+                )
+                assert (error_type, events) == ("ProtocolError", [])
+                assert "'slack' must be a finite number" in text
 
     def test_invalid_sort_gets_no_start_event(self, servers):
         for address in servers.values():

@@ -90,6 +90,11 @@ class TestDifferential:
             signoff_core(example_circuit, k=3, slack=1.0)
         with pytest.raises(ValueError, match=">= 1"):
             signoff_core(example_circuit, k=0)
+        for slack in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                signoff_core(example_circuit, slack=slack)
+            with pytest.raises(ValueError, match="finite"):
+                signoff(example_circuit, slack=slack)
 
     def test_candidate_budget_guard(self, example_circuit):
         delays = random_delays(example_circuit)
