@@ -745,7 +745,6 @@ def cmd_signoff(args: argparse.Namespace) -> int:
         args.circuit,
         k=args.k,
         slack=args.slack,
-        exact=args.exact,
         scan=True if args.scan else None,
         annotations=annotations,
         seed=args.seed,
@@ -768,7 +767,6 @@ def _signoff_remote(args: argparse.Namespace) -> int:
             client,
             k=args.k,
             slack=args.slack,
-            exact=args.exact,
             scan=True if args.scan else None,
             annotations=annotations,
             seed=args.seed,
@@ -1127,12 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scan", action="store_true",
         help="require scan (sequential) interpretation of CIRCUIT",
-    )
-    p.add_argument(
-        "--exact", action="store_true",
-        help="escalate prefilter survivors through the SAT verdict "
-        "oracle (rows are identical either way; only stage counters "
-        "move)",
     )
     p.add_argument(
         "--delays", default="random", metavar="FILE|unit|random",

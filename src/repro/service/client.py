@@ -391,7 +391,6 @@ class ServiceClient:
         bench: "str | None" = None,
         k: "int | None" = None,
         slack: "float | None" = None,
-        exact: bool = False,
         delays: "str | None" = None,
         seed: int = 0,
         deadline: "float | None" = None,
@@ -407,7 +406,7 @@ class ServiceClient:
         :func:`repro.signoff.signoff_remote`."""
         return self._circuit_request(
             "signoff", circuit, bench, on_event,
-            k=k, slack=slack, exact=exact, delays=delays, seed=seed,
+            k=k, slack=slack, delays=delays, seed=seed,
             deadline=deadline,
         )
 

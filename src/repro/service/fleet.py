@@ -38,8 +38,9 @@ Request path, in order:
 4. **Failure handling** — a worker that dies or wedges mid-request
    breaks the front-end's backend connection; the front-end drops the
    shard from the ring, pokes the supervisor (which respawns it with
-   backoff), and transparently retries requests whose op spec is
-   ``idempotent`` on a surviving shard.  Exhausted retries answer a
+   backoff), and transparently retries a request whose op spec is
+   ``idempotent`` once on a surviving shard (waiting up to 5 s for a
+   respawn when no shard is up).  An exhausted retry answers a
    structured ``TaskCrashed`` — a client never sees a dropped
    connection for a worker-side failure.
 
@@ -80,6 +81,12 @@ from repro.store.fingerprint import canonical_form
 
 __all__ = ["FleetServer", "coalescing_key", "serve_fleet"]
 
+#: tries per idempotent request: the first, plus one on a surviving
+#: shard after a worker dies under it
+_RETRY_ATTEMPTS = 2
+#: seconds a request waits for a respawn when every shard is down
+_REROUTE_WAIT = 5.0
+
 
 def coalescing_key(spec: OpSpec, circuit_key: tuple, params: dict) -> tuple:
     """The single-flight key of a circuit request: its op, its circuit
@@ -119,26 +126,20 @@ class FleetServer(JsonLineServer):
         default_deadline: "float | None" = None,
         max_accepted: "int | None" = None,
         max_pending: int = 64,
-        replicas: int = 64,
         socket_dir: "str | None" = None,
         health_interval: float = 0.5,
         health_timeout: float = 2.0,
         max_health_failures: int = 2,
         backoff_base: float = 0.05,
         backoff_max: float = 2.0,
-        retry_attempts: int = 2,
-        reroute_wait: float = 5.0,
-        drain_timeout: float = 30.0,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        super().__init__(drain_timeout=drain_timeout)
+        super().__init__()
         self.max_pending = max_pending
         self.concurrency = concurrency
-        self.retry_attempts = retry_attempts
-        self.reroute_wait = reroute_wait
         self.health_timeout = health_timeout
         self._socket_dir = socket_dir or tempfile.mkdtemp(prefix="repro-fleet-")
         self._own_socket_dir = socket_dir is None
@@ -157,7 +158,7 @@ class FleetServer(JsonLineServer):
             on_worker_up=self._worker_up,
             on_worker_down=self._worker_down,
         )
-        self.ring = HashRing(replicas=replicas)
+        self.ring = HashRing()
         self._available = asyncio.Event()
         self._pools: "dict[int, list]" = {}  # worker -> idle (reader, writer)
         self._pending: "dict[int, int]" = {i: 0 for i in range(workers)}
@@ -331,7 +332,7 @@ class FleetServer(JsonLineServer):
             "name", fingerprint[:18]
         )
         last_error = "worker connection failed"
-        attempts = self.retry_attempts if spec.idempotent else 1
+        attempts = _RETRY_ATTEMPTS if spec.idempotent else 1
         for attempt in range(attempts):
             worker = await self._route(fingerprint)
             if self._pending.get(worker, 0) >= self.max_pending:
@@ -374,7 +375,7 @@ class FleetServer(JsonLineServer):
             # of failing a burst that a 100ms recovery would absorb
             try:
                 await asyncio.wait_for(
-                    self._available.wait(), self.reroute_wait
+                    self._available.wait(), _REROUTE_WAIT
                 )
             except asyncio.TimeoutError:
                 raise ServiceError(

@@ -44,7 +44,6 @@ Fields outside the table are ignored::
     | signoff   | circuit/bench | str    |         |                          | yes        |
     | signoff   | k             | int    | null    |                          | yes        |
     | signoff   | slack         | number | null    |                          | yes        |
-    | signoff   | exact         | bool   | false   |                          | yes        |
     | signoff   | delays        | str    | null    |                          | yes        |
     | signoff   | seed          | int    | 0       |                          | yes        |
     | signoff   | deadline      | number | null    |                          | yes        |
@@ -198,7 +197,6 @@ OPS: "dict[str, OpSpec]" = {spec.name: spec for spec in (
         "signoff", _check_signoff,
         k=Param((int,)),
         slack=Param(_NUMBER),
-        exact=Param((bool,), False),
         delays=Param((str,)),
         seed=Param((int,), 0),
     ),

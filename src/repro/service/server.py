@@ -25,8 +25,8 @@ Execution discipline:
   background and its session returns to the pool only afterwards, so a
   timed-out session is never handed to two requests at once.
 * **Graceful drain** — SIGTERM/SIGINT stop the listener, let every
-  in-flight request finish and answer, then close the remaining (idle)
-  connections and exit 0.
+  in-flight request finish and answer (for up to 30 s, then cancel
+  it), then close the remaining (idle) connections and exit 0.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ __all__ = [
     "run_until_signalled",
     "serve",
 ]
+
+#: seconds a drain waits for in-flight requests before cancelling them
+_DRAIN_TIMEOUT = 30.0
+
 
 def _build_circuit(message: dict) -> Circuit:
     key = request_key(message)
@@ -176,8 +180,7 @@ class JsonLineServer:
     _metric_prefix = "service"
     _request_prefix = "req"
 
-    def __init__(self, drain_timeout: float = 30.0):
-        self.drain_timeout = drain_timeout
+    def __init__(self):
         self.counters = _Counters()
         self._request_seq = 0
         self._server: "asyncio.base_events.Server | None" = None
@@ -227,7 +230,7 @@ class JsonLineServer:
                 conn.writer.close()
         pending = list(self._tasks)
         if pending:
-            await asyncio.wait(pending, timeout=self.drain_timeout)
+            await asyncio.wait(pending, timeout=_DRAIN_TIMEOUT)
         leftover = list(self._tasks)
         for task in leftover:
             task.cancel()
@@ -375,11 +378,10 @@ class AnalysisServer(JsonLineServer):
         concurrency: int = 8,
         default_deadline: "float | None" = None,
         max_accepted: "int | None" = None,
-        drain_timeout: float = 30.0,
     ):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        super().__init__(drain_timeout=drain_timeout)
+        super().__init__()
         self.store = as_store(store)
         self.concurrency = concurrency
         self.default_deadline = default_deadline
@@ -508,7 +510,6 @@ class AnalysisServer(JsonLineServer):
         session: CircuitSession,
         k: "int | None",
         slack: "float | None",
-        exact: bool,
         delays: "str | None",
         seed: int,
     ) -> dict:
@@ -538,7 +539,6 @@ class AnalysisServer(JsonLineServer):
             assignment,
             k=k,
             slack=slack,
-            exact=exact,
             session=session,
         )
         return {
@@ -546,7 +546,6 @@ class AnalysisServer(JsonLineServer):
             "mode": "k" if k is not None else "slack",
             "k": k,
             "slack": slack,
-            "exact": exact,
             "delays_digest": delays_digest(
                 assignment, canonical=session.canonical
             ),

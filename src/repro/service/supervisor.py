@@ -15,8 +15,9 @@ shard's in-flight requests and nothing else.  The
 * **respawn with exponential backoff** — a dead worker is restarted on
   the same socket path after a delay that doubles per consecutive
   respawn (``backoff_base`` up to ``backoff_max``) and resets once the
-  worker has stayed healthy for ``stable_after`` seconds, so a
-  crash-looping shard cannot hog the supervisor.
+  worker has stayed healthy for 5 s, so a crash-looping shard cannot
+  hog the supervisor.  A spawned worker that has not answered its
+  readiness ping within 60 s counts as failed.
 * **routing callbacks** — ``on_worker_down`` / ``on_worker_up`` fire in
   the supervisor's event loop so the front-end can drop the shard from
   its hash ring (re-routing retries elsewhere) and re-add it when the
@@ -41,6 +42,11 @@ from repro.obs import get_registry
 from repro.service import protocol
 
 __all__ = ["WorkerHandle", "WorkerSupervisor"]
+
+#: seconds a worker must stay healthy before its backoff resets
+_STABLE_AFTER = 5.0
+#: seconds a spawned worker has to answer its readiness ping
+_SPAWN_TIMEOUT = 60.0
 
 
 async def unix_rpc(socket_path: str, message: dict, timeout: float) -> dict:
@@ -121,8 +127,6 @@ class WorkerSupervisor:
         max_health_failures: int = 2,
         backoff_base: float = 0.05,
         backoff_max: float = 2.0,
-        stable_after: float = 5.0,
-        spawn_timeout: float = 60.0,
         on_worker_up=None,
         on_worker_down=None,
     ):
@@ -137,8 +141,6 @@ class WorkerSupervisor:
         self.max_health_failures = max_health_failures
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self.stable_after = stable_after
-        self.spawn_timeout = spawn_timeout
         self.on_worker_up = on_worker_up
         self.on_worker_down = on_worker_down
         self.workers = [
@@ -194,8 +196,8 @@ class WorkerSupervisor:
 
     async def _wait_ready(self, handle: WorkerHandle) -> bool:
         """Poll until the worker answers its readiness ping (True) or
-        dies / exceeds ``spawn_timeout`` (False)."""
-        deadline = time.monotonic() + self.spawn_timeout
+        dies / exceeds ``_SPAWN_TIMEOUT`` (False)."""
+        deadline = time.monotonic() + _SPAWN_TIMEOUT
         while time.monotonic() < deadline:
             if not handle.alive():
                 return False
@@ -306,7 +308,7 @@ class WorkerSupervisor:
                     handle.up_since = time.monotonic()
                 elif (
                     handle.up_since is not None
-                    and time.monotonic() - handle.up_since > self.stable_after
+                    and time.monotonic() - handle.up_since > _STABLE_AFTER
                 ):
                     handle.backoff = self.backoff_base  # earned a reset
                 # always (re)notify: the front-end drops a shard from its

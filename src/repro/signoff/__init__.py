@@ -2,8 +2,7 @@
 
 The query layer composing lazy best-first path enumeration
 (:mod:`repro.timing.kpaths`) with robust-testability filtering — the
-Lemma-2 prefilter, the optional SAT oracle escalation, and the final
-two-frame robust-test verdict — per launch/capture domain, under an
+Lemma-2 prefilter and the final two-frame robust-test verdict — per launch/capture domain, under an
 annotated per-gate :class:`~repro.timing.delays.DelayAssignment`.
 
 Entry points:

@@ -9,12 +9,12 @@ The layered filter (fast to exact):
    cached ``SIGMA_PI`` tables (pin-order π).  Sound for robustness
    regardless of π: ``T(C) ⊆ LP(σ^π)`` holds for *every* sort, so a
    rejection here proves the path is not robustly testable.
-3. **escalate** (``exact=True`` only) — the incremental CDCL oracle
-   refutes survivors that are outside true ``LP(σ^π)``.
-4. **verdict** — a two-frame robust-test SAT query
+3. **verdict** — a two-frame robust-test SAT query
    (:func:`repro.delaytest.robust_test`) confirms every reported path.
-   Because this final stage runs in *all* modes, the row set is
-   mode-independent: ``exact`` can only shift work between stages.
+   A confirmed path is robustly testable, hence in ``LP(σ^π)`` by
+   Lemma 1, so no exact ``LP(σ^π)`` check between the two stages could
+   change a row.  :mod:`repro.verdict.tightness` measures the Lemma-2
+   gap itself.
 
 Store contract: kind ``"signoff"`` under the queried (domain) circuit's
 ``rdfp1:`` fingerprint; the variant carries the schema, the canonical
@@ -45,7 +45,6 @@ from repro.timing.annotate import delays_digest, materialize_delays
 from repro.timing.delays import DelayAssignment
 from repro.timing.kpaths import iter_paths_by_delay
 from repro.timing.pathdelay import logical_path_delay
-from repro.verdict.oracle import DEFAULT_MAX_CONFLICTS, VerdictOracle
 
 from repro.signoff.report import (
     SIGNOFF_SCHEMA,
@@ -66,7 +65,6 @@ DEFAULT_MAX_STATES = 10_000_000
 _STAGE_COUNTERS = (
     "candidates",
     "prefilter_rejects",
-    "oracle_refuted",
     "robust_refuted",
     "robust_confirmed",
 )
@@ -177,13 +175,11 @@ def signoff_core(
     *,
     k: "int | None" = None,
     slack: "float | None" = None,
-    exact: bool = False,
     session: "CircuitSession | None" = None,
     store=None,
     seed: int = 0,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     max_states: int = DEFAULT_MAX_STATES,
-    max_conflicts: int = DEFAULT_MAX_CONFLICTS,
 ) -> "tuple[list, dict, str]":
     """Answer one signoff query on a single (domain) circuit.
 
@@ -219,11 +215,6 @@ def signoff_core(
     with span("signoff.domain", circuit=circuit.name):
         sort = InputSort.pin_order(circuit)
         tables = session.tables(Criterion.SIGMA_PI, sort)
-        oracle = (
-            VerdictOracle(circuit, max_conflicts=max_conflicts)
-            if exact
-            else None
-        )
         accepted: list = []
         boundary: "float | None" = None
         for delay, lp in iter_paths_by_delay(
@@ -242,11 +233,6 @@ def signoff_core(
                 )
             if not check_logical_path_tables(circuit, tables, lp):
                 counters["prefilter_rejects"] += 1
-                continue
-            if oracle is not None and not oracle.decide(
-                lp, Criterion.SIGMA_PI, sort
-            ).in_set:
-                counters["oracle_refuted"] += 1
                 continue
             if robust_test(circuit, lp) is None:
                 counters["robust_refuted"] += 1
@@ -317,19 +303,16 @@ def domain_circuits(core: Circuit) -> list:
 
 def _domain_task(payload) -> "tuple[list, dict, str]":
     """Picklable per-domain worker: one cone, one query."""
-    (cone, rise, fall, k, slack, exact, store,
-     max_candidates, max_states, max_conflicts) = payload
+    cone, rise, fall, k, slack, store, max_candidates, max_states = payload
     delays = DelayAssignment(circuit=cone, rise=rise, fall=fall)
     return signoff_core(
         cone,
         delays,
         k=k,
         slack=slack,
-        exact=exact,
         store=store,
         max_candidates=max_candidates,
         max_states=max_states,
-        max_conflicts=max_conflicts,
     )
 
 
@@ -384,7 +367,7 @@ def _prepare_query(
 
 
 def _query_report(
-    query: _Query, exact: bool, row_lists: list, counters: dict, sources: dict
+    query: _Query, row_lists: list, counters: dict, sources: dict
 ) -> SignoffReport:
     """Merge the per-domain row lists into the query's report."""
     return SignoffReport(
@@ -392,7 +375,6 @@ def _query_report(
         mode="k" if query.k is not None else "slack",
         k=query.k,
         slack=query.slack,
-        exact=exact,
         delays_digest=delays_digest(query.delays),
         domains=tuple(sorted(capture for capture, _c, _m in query.domains)),
         rows=merge_rows(row_lists, query.k),
@@ -408,7 +390,6 @@ def signoff(
     *,
     k: "int | None" = None,
     slack: "float | None" = None,
-    exact: bool = False,
     scan: "bool | None" = None,
     delays: "DelayAssignment | None" = None,
     annotations: "dict | None" = None,
@@ -418,7 +399,6 @@ def signoff(
     runner: "TaskRunner | None" = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     max_states: int = DEFAULT_MAX_STATES,
-    max_conflicts: int = DEFAULT_MAX_CONFLICTS,
 ) -> SignoffReport:
     """K-longest / above-slack robustly-testable paths of ``source``.
 
@@ -438,7 +418,7 @@ def signoff(
         cone_delays = map_delays(query.delays)
         payloads.append(
             (cone, cone_delays.rise, cone_delays.fall, query.k, query.slack,
-             exact, store, max_candidates, max_states, max_conflicts)
+             store, max_candidates, max_states)
         )
     core = query.core
     labels = [
@@ -467,7 +447,7 @@ def signoff(
         sources[capture] = domain_source
         for name in _STAGE_COUNTERS:
             counters[name] += domain_counters[name]
-    return _query_report(query, exact, row_lists, counters, sources)
+    return _query_report(query, row_lists, counters, sources)
 
 
 __all__ = [

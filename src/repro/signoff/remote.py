@@ -34,7 +34,6 @@ def signoff_remote(
     *,
     k: "int | None" = None,
     slack: "float | None" = None,
-    exact: bool = False,
     scan: "bool | None" = None,
     delays=None,
     annotations: "dict | None" = None,
@@ -63,7 +62,6 @@ def signoff_remote(
             circuit=cone,
             k=query.k,
             slack=query.slack,
-            exact=exact,
             delays=write_delay_annotations(map_delays(query.delays)),
             deadline=deadline,
             on_event=on_event,
@@ -74,4 +72,4 @@ def signoff_remote(
         sources[capture] = result["source"]
         for name, value in result["counters"].items():
             counters[name] = counters.get(name, 0) + value
-    return _query_report(query, exact, row_lists, counters, sources)
+    return _query_report(query, row_lists, counters, sources)

@@ -81,13 +81,12 @@ class SignoffReport:
     mode: str  #: "k" | "slack"
     k: "int | None"
     slack: "float | None"
-    exact: bool
     delays_digest: str
     domains: tuple  #: capture-point names queried, sorted
     rows: tuple  #: SignoffRow, canonical order
     #: aggregated stage counters (candidates, prefilter_rejects,
-    #: oracle_refuted, robust_refuted, robust_confirmed) — diagnostics,
-    #: excluded from the deterministic table.
+    #: robust_refuted, robust_confirmed) — diagnostics, excluded from
+    #: the deterministic table.
     counters: dict = field(default_factory=dict)
     #: per-domain provenance ("computed" | "store") — diagnostics.
     sources: dict = field(default_factory=dict)
@@ -95,9 +94,7 @@ class SignoffReport:
 
     def table_payload(self) -> dict:
         """The deterministic answer: byte-identical at any ``--jobs``,
-        worker count, or store temperature.  ``--exact`` is absent on
-        purpose — the final verdict stage makes rows mode-independent,
-        so escalation may only change the diagnostics."""
+        worker count, or store temperature."""
         return {
             "schema": SIGNOFF_SCHEMA,
             "circuit": self.circuit,
@@ -115,7 +112,6 @@ class SignoffReport:
 
     def to_dict(self) -> dict:
         payload = self.table_payload()
-        payload["exact"] = self.exact
         payload["counters"] = dict(self.counters)
         payload["sources"] = dict(self.sources)
         payload["wall_seconds"] = self.wall_seconds

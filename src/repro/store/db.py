@@ -27,10 +27,10 @@ Concurrency: the database runs in WAL mode with a busy timeout, so the
 ``jobs=N`` process pool of the experiment harness and the threads of the
 analysis service can all read and write one store file concurrently.
 Connections are opened lazily *per process* (the store object pickles as
-its path, and a fork is detected by PID), every statement is retried on
-``database is locked``/``busy``, and a corrupted or undecodable payload
-is deleted and reported as a miss — a store can make a run faster, never
-wrong, and never dead.
+its path, and a fork is detected by PID), opening and every statement
+are retried on ``database is locked``/``busy``, and a corrupted or
+undecodable payload is deleted and reported as a miss — a store can
+make a run faster, never wrong, and never dead.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ CREATE TABLE IF NOT EXISTS entries (
 )
 """
 
+#: seconds SQLite's own busy handler waits on a held lock
+_BUSY_TIMEOUT = 10.0
 #: bounded retry for statements that hit a held write lock even after
 #: SQLite's own busy timeout
 _LOCK_RETRIES = 8
@@ -137,31 +139,53 @@ class ResultStore:
     empty database).
     """
 
-    def __init__(self, path: "str | Path", busy_timeout: float = 10.0):
+    def __init__(self, path: "str | Path"):
         self.path = str(path)
-        self.busy_timeout = busy_timeout
         self._local_conn: "sqlite3.Connection | None" = None
         self._pid = -1
         self._lock = threading.Lock()
 
     # -- connection management -----------------------------------------
     def _connect(self) -> sqlite3.Connection:
+        # while another process opens the same fresh file, opening can
+        # fail with "database is locked" at once, without waiting out the
+        # busy timeout, so it retries like any statement
+        return self._retrying(
+            self._open, f"cannot open result store {self.path!r}"
+        )
+
+    def _open(self) -> sqlite3.Connection:
+        conn = sqlite3.connect(
+            self.path,
+            timeout=_BUSY_TIMEOUT,
+            check_same_thread=False,
+            isolation_level=None,  # autocommit: every statement durable
+        )
         try:
-            conn = sqlite3.connect(
-                self.path,
-                timeout=self.busy_timeout,
-                check_same_thread=False,
-                isolation_level=None,  # autocommit: every statement durable
-            )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             if conn.execute("PRAGMA user_version").fetchone()[0] < (
                 STORE_FORMAT_VERSION
             ):
                 _migrate(conn)
-        except sqlite3.Error as exc:
-            raise StoreError(f"cannot open result store {self.path!r}: {exc}")
+        except BaseException:
+            conn.close()
+            raise
         return conn
+
+    def _retrying(self, action, what: str):
+        """``action()`` with bounded retry on a held write lock; every
+        other SQLite error is a :class:`StoreError` naming ``what``."""
+        for attempt in range(_LOCK_RETRIES):
+            try:
+                return action()
+            except sqlite3.OperationalError as exc:
+                if not _is_locked(exc) or attempt == _LOCK_RETRIES - 1:
+                    raise StoreError(f"{what}: {exc}") from exc
+                time.sleep(_LOCK_SLEEP * (attempt + 1))
+            except sqlite3.DatabaseError as exc:
+                raise StoreError(f"{what}: {exc}") from exc
+        raise AssertionError("unreachable")
 
     @property
     def _conn(self) -> sqlite3.Connection:
@@ -187,25 +211,15 @@ class ResultStore:
 
     def __reduce__(self):
         # pickles as its path: each pool worker opens its own connection
-        return (type(self), (self.path, self.busy_timeout))
+        return (type(self), (self.path,))
 
     def _execute(self, sql: str, params: tuple = ()):
         """One statement with bounded retry on a held write lock."""
         with self._lock:
-            for attempt in range(_LOCK_RETRIES):
-                try:
-                    return self._conn.execute(sql, params)
-                except sqlite3.OperationalError as exc:
-                    if not _is_locked(exc) or attempt == _LOCK_RETRIES - 1:
-                        raise StoreError(
-                            f"result store {self.path!r}: {exc}"
-                        ) from exc
-                    time.sleep(_LOCK_SLEEP * (attempt + 1))
-                except sqlite3.DatabaseError as exc:
-                    raise StoreError(
-                        f"result store {self.path!r}: {exc}"
-                    ) from exc
-        raise AssertionError("unreachable")
+            return self._retrying(
+                lambda: self._conn.execute(sql, params),
+                f"result store {self.path!r}",
+            )
 
     # -- the content-addressed API -------------------------------------
     def get(self, fingerprint: str, kind: str, variant: str = "") -> "dict | None":

@@ -72,6 +72,7 @@ update.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -119,10 +120,16 @@ def _path_query(literals: Iterable[int], frames: int = 1) -> PathQuery:
 
 class SensitizationEncoder:
     """Per-circuit Tseitin frames and solver templates, plus the
-    per-path side-condition walk."""
+    per-path side-condition walk.
+
+    The encoder holds its circuit weakly: :func:`encoder_for` caches it
+    on the circuit, and a strong back-reference would keep every
+    circuit, CNF and template solver alive until the cyclic collector
+    runs.
+    """
 
     def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
+        self._circuit = weakref.ref(circuit)
         #: frame k's encoding; its CNF holds the clauses of frames 1..k
         self._frames: list[CircuitEncoding] = []
         #: frame k's gate -> variable table
@@ -130,20 +137,26 @@ class SensitizationEncoder:
         #: never-solved solver over the first ``frames`` frames
         self._templates: dict[int, Solver] = {}
 
+    @property
+    def circuit(self) -> Circuit:
+        """The encoded circuit."""
+        return self._circuit()
+
     def _frame(self, index: int) -> CircuitEncoding:
         frames = self._frames
         while len(frames) <= index:
+            circuit = self._circuit()
             cnf = None
             if frames:
                 below = frames[-1].cnf
                 cnf = CNF(below.num_vars)
                 cnf.clauses = list(below.clauses)
-            encoding = tseitin_encode(self.circuit, cnf)
+            encoding = tseitin_encode(circuit, cnf)
             get_registry().counter("delaytest.encodings_built").inc()
             frames.append(encoding)
             self._vars.append([
                 encoding.var_of_gate.get(g, 0)
-                for g in range(self.circuit.num_gates)
+                for g in range(circuit.num_gates)
             ])
         return frames[index]
 
@@ -182,7 +195,7 @@ class SensitizationEncoder:
         every side input ``criterion`` constrains, in path then pin
         order; to-controlling means the stable on-path value entering
         the gate is its controlling value."""
-        flat = self.circuit.flat
+        flat = self._circuit().flat
         kind = flat.kind
         ctrl = flat.ctrl
         out_ctrl = flat.out_ctrl
@@ -232,7 +245,7 @@ class SensitizationEncoder:
         the path PI at its final value ((FU1)/(NR1)/(π1)), then each
         constrained side input at its non-controlling value."""
         var = self._var(0)
-        source = logical_path.path.source(self.circuit)
+        source = logical_path.path.source(self._circuit())
 
         def literals() -> Iterator[int]:
             yield _lit(var[source], logical_path.final_value)
@@ -251,7 +264,7 @@ class SensitizationEncoder:
         frame-2 literal precedes its frame-1 literal."""
         var1 = self._var(0)
         var2 = self._var(1)
-        source = logical_path.path.source(self.circuit)
+        source = logical_path.path.source(self._circuit())
         final = logical_path.final_value
 
         def literals() -> Iterator[int]:
@@ -281,13 +294,14 @@ class SensitizationEncoder:
 
     def decode_witness(self, model: list) -> tuple[int, ...]:
         """PI vector (in ``circuit.inputs`` order) from a SAT model."""
-        return self._frame(0).decode_inputs(self.circuit, model)
+        return self._frame(0).decode_inputs(self._circuit(), model)
 
     def decode_pair(self, model: list) -> "tuple[tuple[int, ...], tuple[int, ...]]":
         """Frame-1 and frame-2 PI vectors from a two-frame model."""
+        circuit = self._circuit()
         return (
-            self.decode_witness(model),
-            self._frame(1).decode_inputs(self.circuit, model),
+            self._frame(0).decode_inputs(circuit, model),
+            self._frame(1).decode_inputs(circuit, model),
         )
 
 

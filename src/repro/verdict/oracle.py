@@ -63,9 +63,8 @@ DEFAULT_MAX_CONFLICTS = 100_000
 #: Witnesses one oracle's pool holds.  A tightness chunk decides at
 #: most ``CHUNK_SIZE`` = 512 paths, and no chunk's oracle stored more
 #: than 169 solver witnesses in an ``exact`` pass, so a chunk never
-#: evicts; a signoff oracle lives for a whole timing domain with no
-#: path bound, and the cap bounds it.  Once full, slots are reused in
-#: ring order.
+#: evicts; the cap bounds an oracle a library caller keeps for longer.
+#: Once full, slots are reused in ring order.
 POOL_SIZE = 256
 
 

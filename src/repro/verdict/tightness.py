@@ -39,7 +39,7 @@ from repro.obs import get_registry, span
 from repro.paths.path import LogicalPath, PhysicalPath
 from repro.util.serialize import to_json
 from repro.util.tables import TextTable
-from repro.verdict.oracle import DEFAULT_MAX_CONFLICTS, VerdictOracle
+from repro.verdict.oracle import VerdictOracle
 
 if TYPE_CHECKING:
     from repro.sorting.input_sort import InputSort
@@ -265,12 +265,12 @@ def _verdict_chunk_task(payload):
     """Decide one chunk of paths; returns aggregate counts only (sums
     are order- and chunking-independent, keeping tables deterministic).
     """
-    circuit, criterion_name, ranks, raw_paths, max_conflicts = payload
+    circuit, criterion_name, ranks, raw_paths = payload
     from repro.sorting.input_sort import InputSort
 
     criterion = Criterion[criterion_name]
     sort = None if ranks is None else InputSort(circuit, ranks)
-    oracle = VerdictOracle(circuit, max_conflicts=max_conflicts)
+    oracle = VerdictOracle(circuit)
     sat = 0
     for leads, final_value in raw_paths:
         lp = LogicalPath(PhysicalPath(tuple(leads)), final_value)
@@ -312,7 +312,6 @@ def tightness_row(
     store=None,
     runner: "TaskRunner | None" = None,
     max_accepted: "int | None" = None,
-    max_conflicts: int = DEFAULT_MAX_CONFLICTS,
 ) -> TightnessRow:
     """Exact-vs-approximate verdict counts for one circuit.
 
@@ -382,7 +381,7 @@ def tightness_row(
         payloads = [
             (circuit, criterion.name,
              None if sort_obj is None else sort_obj.ranks,
-             chunk, max_conflicts)
+             chunk)
             for chunk in chunks
         ]
         labels = [f"{circuit.name}:verdicts[{i}]" for i in range(len(payloads))]
@@ -438,7 +437,6 @@ def run_tightness(
     runner: "TaskRunner | None" = None,
     max_inputs: int = DEFAULT_MAX_INPUTS,
     max_accepted: "int | None" = DEFAULT_MAX_ACCEPTED,
-    max_conflicts: int = DEFAULT_MAX_CONFLICTS,
 ) -> TightnessReport:
     """Tightness sweep: one row per circuit, SKIP rows for circuits over
     the PI ceiling or the accepted-paths budget (never a silent drop).
@@ -457,7 +455,7 @@ def run_tightness(
         circuits, criterion, sort, max_inputs, max_accepted,
         lambda circuit: tightness_row(
             circuit, criterion, sort, store=store, runner=runner,
-            max_accepted=max_accepted, max_conflicts=max_conflicts,
+            max_accepted=max_accepted,
         ),
     )
 

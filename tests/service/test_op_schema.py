@@ -5,6 +5,7 @@ documented wire table is the registry."""
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.fleet import coalescing_key
 from repro.service.protocol import request_key
+from repro.service.server import AnalysisServer
 
 from tests.service.fleet_harness import FleetHarness
 from tests.service.test_server import ServerHarness
@@ -136,6 +138,19 @@ class TestMalformedParity:
                 )
             assert result["total_logical"] == 22
 
+    def test_a_signoff_exact_field_is_ignored(self, servers):
+        """``exact`` was a signoff field once: a client that still sends
+        it gets the plain answer and shares its coalescing key."""
+        plain = {"op": "signoff", "circuit": "c17", "k": 8}
+        legacy = dict(plain, exact=True)
+        assert _fleet_key(legacy) == _fleet_key(plain)
+        for address in servers.values():
+            with ServiceClient.connect(address) as client:
+                want = client.request(**plain)
+                got = client.request(**legacy)
+            assert got["rows"] == want["rows"]
+            assert "exact" not in got
+
 
 class TestCliRemoteSort:
     def test_fs_with_random_sort_leaves_the_sort_off_the_wire(
@@ -170,7 +185,7 @@ def test_client_request_lines_are_pinned():
     client.classify(bench="x", criterion="fs", cones=True, max_accepted=0)
     client.tightness(circuit="c17", sort="pin", deadline=1.5)
     client.signoff(circuit="c17")
-    client.signoff(circuit="c17", slack=0.0, exact=True, seed=4, delays="")
+    client.signoff(circuit="c17", slack=0.0, seed=4, delays="")
     assert client.lines == [
         b'{"circuit":"c17","criterion":"sigma","op":"classify",'
         b'"sort":"heu2"}\n',
@@ -179,9 +194,30 @@ def test_client_request_lines_are_pinned():
         b'{"circuit":"c17","criterion":"sigma","deadline":1.5,'
         b'"op":"tightness","sort":"pin"}\n',
         b'{"circuit":"c17","op":"signoff"}\n',
-        b'{"circuit":"c17","delays":"","exact":true,"op":"signoff",'
-        b'"seed":4,"slack":0.0}\n',
+        b'{"circuit":"c17","delays":"","op":"signoff","seed":4,'
+        b'"slack":0.0}\n',
     ]
+
+
+# -- the handlers and the client follow the schema ---------------------------
+CIRCUIT_OPS = [name for name, spec in protocol.OPS.items() if spec.circuit]
+
+
+def _keywords(function, positional: set) -> set:
+    return set(inspect.signature(function).parameters) - positional
+
+
+@pytest.mark.parametrize("op", CIRCUIT_OPS)
+def test_handler_and_client_take_exactly_the_op_fields(op):
+    """A wire field cannot outlive the handler that reads it, and a
+    client keyword cannot outlive the wire field it sends."""
+    fields = set(protocol.OPS[op].params)
+    handler = getattr(AnalysisServer, f"_op_{op}")
+    assert _keywords(handler, {"self", "session"}) == fields - {"deadline"}
+    client = getattr(ServiceClient, op)
+    assert _keywords(client, {"self"}) == fields | {
+        "circuit", "bench", "on_event"
+    }
 
 
 # -- the coalescing key ----------------------------------------------------
@@ -203,7 +239,6 @@ FIELDS = {
     "signoff": {
         "k": (None, [None, 1, 5]),
         "slack": (None, [None, 0.5]),
-        "exact": (False, [False, True]),
         "delays": (None, [None, "y 1 2\n"]),
         "seed": (0, [0, 3]),
         "deadline": (None, [None, 2.5]),

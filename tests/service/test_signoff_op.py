@@ -104,13 +104,6 @@ class TestSignoffOp:
                 client.signoff(circuit="c17", k=0)
             assert excinfo.value.error_type == "ProtocolError"
 
-    def test_exact_rows_identical(self, harness):  # noqa: F811
-        h = _unix_server(harness)
-        with ServiceClient.connect(h.address) as client:
-            fast = client.signoff(circuit="c17", k=8)
-            exact = client.signoff(circuit="c17", k=8, exact=True)
-        assert exact["rows"] == fast["rows"]
-
     def test_op_counted_in_metrics(self, harness):  # noqa: F811
         h = _unix_server(harness)
         with ServiceClient.connect(h.address) as client:

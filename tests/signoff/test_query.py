@@ -1,5 +1,8 @@
 """Signoff correctness: differential against brute force, fan-out
-equivalence, job-count determinism, and the store contract."""
+equivalence, job-count determinism, the store contract, and what a
+query leaves in memory."""
+
+import gc
 
 import pytest
 
@@ -7,6 +10,7 @@ from repro.circuit.sequential import S27_LIKE, parse_sequential_bench
 from repro.delaytest.testability import is_robustly_testable
 from repro.errors import SignoffError
 from repro.experiments.supervisor import TaskRunner
+from repro.gen.suite import get_circuit
 from repro.paths.enumerate import enumerate_logical_paths
 from repro.signoff import (
     DEFAULT_K,
@@ -19,6 +23,7 @@ from repro.signoff.query import row_from_path
 from repro.timing.annotate import materialize_delays
 from repro.timing.delays import random_delays
 from repro.timing.pathdelay import logical_path_delay
+from repro.verdict.encode import SensitizationEncoder
 
 
 def brute_force_rows(circuit, delays, k=None, slack=None):
@@ -66,24 +71,6 @@ class TestDifferential:
                 assert rows == brute_force_rows(
                     circuit, delays, slack=slack
                 ), (circuit.name, slack)
-
-    def test_exact_mode_same_rows_different_stages(self, small_circuits):
-        for circuit in small_circuits:
-            delays = random_delays(circuit, seed=1)
-            fast_rows, fast_counters, _ = signoff_core(circuit, delays, k=50)
-            exact_rows, exact_counters, _ = signoff_core(
-                circuit, delays, k=50, exact=True
-            )
-            assert exact_rows == fast_rows, circuit.name
-            # the oracle can only take refutations away from the final
-            # robust-test stage, never change the confirmed set
-            assert (
-                exact_counters["robust_confirmed"]
-                == fast_counters["robust_confirmed"]
-            )
-            assert exact_counters["robust_refuted"] <= fast_counters[
-                "robust_refuted"
-            ]
 
     def test_query_validation(self, example_circuit):
         with pytest.raises(ValueError, match="not both"):
@@ -169,6 +156,30 @@ class TestStore:
         assert set(cold.sources.values()) == {"computed"}
         assert set(warm.sources.values()) == {"store"}
         assert warm.table_bytes() == cold.table_bytes()
+
+
+class TestMemory:
+    def test_no_encoder_outlives_the_query(self):
+        """Each domain's cone circuit and its cached sensitization
+        encoder are freed by reference counting alone, so the cones'
+        CNFs and template solvers do not wait for the cyclic collector."""
+
+        def encoders():
+            return sum(
+                isinstance(obj, SensitizationEncoder)
+                for obj in gc.get_objects()
+            )
+
+        circuit = get_circuit("xcmp16")
+        gc.collect()
+        gc.disable()
+        try:
+            before = encoders()
+            report = signoff(circuit, k=100, seed=3)
+            assert report.rows
+            assert encoders() == before
+        finally:
+            gc.enable()
 
 
 class TestMergeRows:

@@ -54,7 +54,7 @@ class TestInvariants:
     def test_chunk_counts_the_replays_its_oracle_made(self, monkeypatch):
         """A chunk reports its oracle's replays, not one per SAT
         verdict: with the replay stubbed out it reports none."""
-        from repro.verdict.oracle import DEFAULT_MAX_CONFLICTS, VerdictOracle
+        from repro.verdict.oracle import VerdictOracle
         from repro.verdict.tightness import _verdict_chunk_task
 
         circuit = get_circuit("c17")
@@ -63,7 +63,7 @@ class TestInvariants:
             Criterion.FS,
             on_path=lambda lp: paths.append((lp.path.leads, lp.final_value)),
         )
-        payload = (circuit, "FS", None, paths, DEFAULT_MAX_CONFLICTS)
+        payload = (circuit, "FS", None, paths)
         sat, replays, *_ = _verdict_chunk_task(payload)
         assert replays == sat > 0
         monkeypatch.setattr(VerdictOracle, "_certify", lambda self, *a: None)
